@@ -1,32 +1,25 @@
-// Wall-clock benchmark of the real-time runtimes (experiment C5).
+// Wall-clock benchmark of the pool runtime (experiment C5).
 //
-// Six phases:
+// Five phases:
 //
 //   (0) Correctness gate: the DES-as-oracle cross-check on 8 seeds for
-//       both paper protocols, each seed run probes-off AND probes-on,
-//       on EVERY backend — thread-per-process and the M:N pool at
-//       W ∈ {1, 2, 4}. The bench *refuses to report numbers from a
-//       runtime that diverges from the simulator* — exit 1 — and
-//       likewise refuses if the wall-clock probe layer shifts any
-//       outcome digest (digest-neutrality: probes-on == probes-off ==
-//       DES, at every worker count).
+//       both paper protocols, each seed run probes-off AND probes-on, on
+//       the pool at W ∈ {1, 2, 4, 5} (n = 5). The bench *refuses to
+//       report numbers from a runtime that diverges from the simulator*
+//       — exit 1 — and likewise refuses if the wall-clock probe layer
+//       shifts any outcome digest (digest-neutrality: probes-on ==
+//       probes-off == DES, at every worker count).
 //
-//   (1) Reconfiguration latency, thread backend: for each protocol in
-//       {basic, optimized, three_phase_recovery} and fleet width n in
-//       {4, 8, 16, 32} threads, repeatedly partition into
-//       majority/minority and merge back, measuring the wall-clock time
-//       from issuing the topology change until every member of the
+//   (1) Reconfiguration latency: for each protocol in {basic, optimized,
+//       three_phase_recovery} and fleet width n in {4, 8, 16, 32}, on
+//       the pool at W = n (one worker per process), repeatedly partition
+//       into majority/minority and merge back, measuring the wall-clock
+//       time from issuing the topology change until every member of the
 //       forming component has formed the new primary (per-process
 //       formation timestamps come from a ProtocolObserver on the
-//       process threads). Reports p50/p99.
+//       workers). Reports p50/p99.
 //
-//   (2) Reconfiguration latency, pool backend: the same grid on the M:N
-//       scheduler (W = hardware_concurrency). Each cell's outcome
-//       digest must equal the thread backend's for the same seed-free
-//       workload — the two backends literally replay each other — and
-//       C5 must hold on the pool too (p50(optimized) < p50(three_phase)).
-//
-//   (3) Phase breakdown: the phase-1 churn with probe rings on,
+//   (2) Phase breakdown: the phase-1 churn with probe rings on,
 //       attributing each reconfiguration's wall time on its critical
 //       (last-forming) lane into queued / parked / executing /
 //       timer-slop buckets (obs/runtime_probe.hpp). The four buckets
@@ -34,26 +27,22 @@
 //       bench gates the residue below 10%, which is what makes the
 //       breakdown a measurement rather than an accounting identity. The
 //       optimized protocol's raw probe document is exported for
-//       `dvtrace runtime`, and a pool run (W=2) is exported alongside
-//       it so the per-worker lanes are inspectable.
+//       `dvtrace runtime`.
 //
-//   (4) Probe overhead: N adjacent probes-off/probes-on pairs of the
+//   (3) Probe overhead: N adjacent probes-off/probes-on pairs of the
 //       phase-1 cell, CPU-timed, identical outcome digests required;
 //       overhead = max(0, min-pair-ratio - 1), gated < 5% (estimator
-//       rationale in bench/bench_shards.cpp). Run twice: thread backend
-//       and pool backend, both gated.
+//       rationale in bench/bench_shards.cpp).
 //
-//   (5) Fleet-width scaling, pool only: n ∈ {64, 256, 1024} processes
-//       carved into groups of 32 that all re-form on every verb
-//       (alternating aligned / shifted-by-16 carves). Reports
-//       reconfiguration p50/p99 and formed-quorums/sec — the numbers
-//       the thread backend cannot produce at all past n≈32.
+//   (4) Fleet-width scaling: n ∈ {64, 256, 1024} processes over W =
+//       hardware_concurrency workers, carved into groups of 32 that all
+//       re-form on every verb (alternating aligned / shifted-by-16
+//       carves). Reports reconfiguration p50/p99 and formed-quorums/sec.
 //
 // The paper's claim C5 in real time: [17]-style three-phase recovery
 // needs 5 communication rounds per formation where the paper's
 // protocols need 2, so its reconfiguration latency must be higher at
-// every width — the bench asserts p50(optimized) < p50(three_phase),
-// on both backends.
+// every width — the bench asserts p50(optimized) < p50(three_phase).
 //
 // DYNVOTE_RUNTIME_QUICK=1 shrinks widths and iterations for sanitizer
 // runs (tools/run_experiments.sh); wall-clock keys in the JSON carry
@@ -65,7 +54,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -74,15 +62,14 @@
 #include "obs/runtime_probe.hpp"
 #include "runtime/crosscheck.hpp"
 #include "runtime/fleet.hpp"
-#include "runtime/pool_transport.hpp"
 #include "util/table.hpp"
 
 namespace dynvote::runtime {
 namespace {
 
 /// Records each process's latest formation time (transport microseconds)
-/// from its own thread; the fleet's quiesce barrier publishes the slots
-/// back to the bench thread.
+/// on its worker; the fleet's quiesce barrier publishes the slots back to
+/// the bench thread.
 class FormationClock : public ProtocolObserver {
  public:
   explicit FormationClock(std::size_t n) : formed_at_(n) {}
@@ -151,22 +138,19 @@ struct MeasureOut {
   std::vector<obs::ThreadProbeLog> logs;
 };
 
-/// One partition/merge churn run. With `collect_windows` (requires
-/// probes) the rings are snapshotted after every reconfiguration and
-/// the window attributed on its critical lane — the process thread on
-/// the thread backend, the owning worker on the pool. Snapshots must
-/// be per-cycle because the rings overwrite in place, so waiting until
-/// the end could lose the early windows' entries.
+/// One partition/merge churn run on the pool at W = n. With
+/// `collect_windows` (requires probes) the rings are snapshotted after
+/// every reconfiguration and the window attributed on its critical lane,
+/// the worker of the last process to form. Snapshots must be per-cycle
+/// because the rings overwrite in place, so waiting until the end could
+/// lose the early windows' entries.
 MeasureOut measure(ProtocolKind kind, std::uint32_t n, int cycles, bool probes,
-                   bool collect_windows,
-                   RuntimeBackend backend = RuntimeBackend::kThreadPerProcess,
-                   std::uint32_t workers = 0) {
+                   bool collect_windows) {
   FleetOptions options;
   options.kind = kind;
   options.n = n;
   options.runtime.probes = probes;
-  options.backend = backend;
-  options.workers = workers;
+  options.workers = n;
   RuntimeFleet fleet(options);
   FormationClock clock(n);
   ProcessSet majority;
@@ -189,8 +173,7 @@ MeasureOut measure(ProtocolKind kind, std::uint32_t n, int cycles, bool probes,
     window.verb = verb;
     window.t0_ns = t0_us * 1000;
     window.t1_ns = formed_us * 1000;
-    // The lane the critical (last-forming) process executes on: its own
-    // thread on the thread backend, its owning worker on the pool.
+    // The lane the critical (last-forming) process executes on.
     window.critical_thread =
         fleet.transport().lane_of(ProcessId(clock.critical(members)));
     out.logs = fleet.probe_logs();
@@ -231,25 +214,21 @@ double cpu_time_ms() {
 /// rationale (episodic shared-runner noise inflates pairs, a real
 /// regression shifts all of them) is documented at
 /// bench/bench_shards.cpp's measure_overhead.
-bool measure_overhead(std::uint32_t n, int cycles, int reps, double& overhead,
-                      RuntimeBackend backend = RuntimeBackend::kThreadPerProcess,
-                      std::uint32_t workers = 0) {
+bool measure_overhead(std::uint32_t n, int cycles, int reps, double& overhead) {
   // Discarded warmup pair (pristine-heap bias, see bench_shards).
-  (void)measure(ProtocolKind::kOptimized, n, cycles, false, false, backend,
-                workers);
-  (void)measure(ProtocolKind::kOptimized, n, cycles, true, false, backend,
-                workers);
+  (void)measure(ProtocolKind::kOptimized, n, cycles, false, false);
+  (void)measure(ProtocolKind::kOptimized, n, cycles, true, false);
   double best_ratio = 0;
   std::uint64_t digest_on = 0;
   std::uint64_t digest_off = 0;
   for (int rep = 0; rep < reps; ++rep) {
     const bool off_first = rep % 2 == 0;
     const double t0 = cpu_time_ms();
-    const MeasureOut first = measure(ProtocolKind::kOptimized, n, cycles,
-                                     !off_first, false, backend, workers);
+    const MeasureOut first =
+        measure(ProtocolKind::kOptimized, n, cycles, !off_first, false);
     const double t1 = cpu_time_ms();
-    const MeasureOut second = measure(ProtocolKind::kOptimized, n, cycles,
-                                      off_first, false, backend, workers);
+    const MeasureOut second =
+        measure(ProtocolKind::kOptimized, n, cycles, off_first, false);
     const double t2 = cpu_time_ms();
     const double ms_off = off_first ? t1 - t0 : t2 - t1;
     const double ms_on = off_first ? t2 - t1 : t1 - t0;
@@ -272,8 +251,8 @@ struct ScaleRow {
   double formed_per_sec = 0;
 };
 
-/// Fleet-width scaling on the pool backend (the thread backend caps at
-/// n≈32 runnable threads; the pool runs n=1024 over W workers).
+/// Fleet-width scaling: n up to 1024 processes over W =
+/// hardware_concurrency workers.
 ///
 /// Dynamic voting shapes the workload: only a component holding a
 /// majority of the LAST formed session can form the next one, so a
@@ -294,7 +273,6 @@ ScaleRow measure_scaling(std::uint32_t n, int cycles) {
   FleetOptions options;
   options.kind = ProtocolKind::kOptimized;
   options.n = n;
-  options.backend = RuntimeBackend::kPool;
   options.workers = 0;  // hardware_concurrency, clamped to [1, n]
   RuntimeFleet fleet(options);
   FormationClock clock(n);
@@ -325,7 +303,7 @@ ScaleRow measure_scaling(std::uint32_t n, int cycles) {
 
   ScaleRow row;
   row.n = n;
-  row.workers = static_cast<PoolTransport&>(fleet.transport()).workers();
+  row.workers = fleet.transport().workers();
 
   fleet.start();  // forms the n-member session the cascade shrinks
   // (a) Majority cascade, outside the timed region: each step keeps
@@ -422,9 +400,9 @@ int main() {
 
   // ---- phase 0: the runtimes must match the DES before they may report
   std::puts(
-      "cross-check: DES oracle vs thread + pool (W in {1,2,4}) runtimes, "
-      "8 seeds, probes off+on");
-  Table check_table({"protocol", "seeds", "backends", "digests equal",
+      "cross-check: DES oracle vs pool runtime (W in {1,2,4,5}), 8 seeds, "
+      "probes off+on");
+  Table check_table({"protocol", "seeds", "worker counts", "digests equal",
                      "C1 clean", "probes neutral"});
   JsonValue check_rows = JsonValue::array();
   bool all_equal = true;
@@ -434,37 +412,42 @@ int main() {
     bool equal = true;
     bool c1 = true;
     bool neutral = true;
+    std::size_t worker_counts = 0;
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
       const CrossCheckResult result = run_scenario(kind, /*n=*/5, seed);
       const CrossCheckResult probed =
           run_scenario(kind, /*n=*/5, seed, /*steps=*/10, /*probes=*/true);
-      if (!result.digests_equal || !probed.digests_equal) {
+      for (const CrossCheckResult* run : {&result, &probed}) {
+        if (run->digests_equal) continue;
         equal = false;
         std::fprintf(stderr,
-                     "DIVERGENCE %s seed %llu\n--- DES ---\n%s--- runtime "
+                     "DIVERGENCE %s seed %llu\n--- DES ---\n%s--- pool "
                      "---\n%s",
                      to_string(kind), static_cast<unsigned long long>(seed),
-                     result.sim_summary.c_str(),
-                     result.runtime_summary.c_str());
+                     run->sim_summary.c_str(),
+                     run->pool_divergent_summary.c_str());
       }
-      if (probed.runtime_digest != result.runtime_digest) {
+      for (std::size_t i = 0; i < result.pool.size(); ++i) {
+        if (probed.pool[i].digest == result.pool[i].digest) continue;
         neutral = false;
         std::fprintf(stderr,
-                     "PROBE PERTURBATION %s seed %llu: probes-on digest "
+                     "PROBE PERTURBATION %s seed %llu W=%u: probes-on digest "
                      "%llx != probes-off digest %llx\n",
                      to_string(kind), static_cast<unsigned long long>(seed),
-                     static_cast<unsigned long long>(probed.runtime_digest),
-                     static_cast<unsigned long long>(result.runtime_digest));
+                     result.pool[i].workers,
+                     static_cast<unsigned long long>(probed.pool[i].digest),
+                     static_cast<unsigned long long>(result.pool[i].digest));
       }
+      worker_counts = result.pool.size();
       c1 &= result.c1_clean && probed.c1_clean;
     }
-    // 5 backends per seed: DES, thread, pool W=1/2/4.
-    check_table.add_row({to_string(kind), "8", "5", equal ? "yes" : "NO",
-                         c1 ? "yes" : "NO", neutral ? "yes" : "NO"});
+    check_table.add_row({to_string(kind), "8", std::to_string(worker_counts),
+                         equal ? "yes" : "NO", c1 ? "yes" : "NO",
+                         neutral ? "yes" : "NO"});
     JsonValue row = JsonValue::object();
     row.set("protocol", JsonValue(to_string(kind)));
     row.set("seeds", JsonValue(std::uint64_t{8}));
-    row.set("pool_worker_counts", JsonValue(std::uint64_t{3}));
+    row.set("pool_worker_counts", JsonValue(std::uint64_t{worker_counts}));
     row.set("digests_equal", JsonValue(equal));
     row.set("c1_clean", JsonValue(c1));
     row.set("probes_digest_equal", JsonValue(neutral));
@@ -476,7 +459,7 @@ int main() {
   std::printf("%s\n", check_table.to_string().c_str());
   if (!all_equal || !all_c1 || !probes_neutral) {
     std::fputs("runtime diverges from the DES oracle (or probes perturb "
-               "outcomes); not reporting latencies from a wrong backend\n",
+               "outcomes); not reporting latencies from a wrong runtime\n",
                stderr);
     return 1;
   }
@@ -490,23 +473,18 @@ int main() {
                                            ProtocolKind::kOptimized,
                                            ProtocolKind::kThreePhaseRecovery};
 
-  std::printf("reconfiguration latency, one thread per process (%d "
-              "partition+merge cycles)\n",
+  std::printf("reconfiguration latency, pool at W = n (%d partition+merge "
+              "cycles)\n",
               cycles);
   Table table({"protocol", "n", "samples", "p50 us", "p99 us"});
   std::vector<LatencyRow> rows;
   std::vector<std::uint64_t> optimized_all;
   std::vector<std::uint64_t> three_phase_all;
-  // Per-cell outcome digests, compared against the pool phase below:
-  // the two backends run the identical workload, so the transcripts
-  // must be byte-identical.
-  std::map<std::pair<int, std::uint32_t>, std::uint64_t> thread_digests;
   for (ProtocolKind kind : kinds) {
     for (std::uint32_t n : widths) {
       const MeasureOut cell =
           measure(kind, n, cycles, /*probes=*/false, /*collect_windows=*/false);
       const std::vector<std::uint64_t>& samples = cell.latencies;
-      thread_digests[{static_cast<int>(kind), n}] = cell.digest;
       LatencyRow row;
       row.kind = kind;
       row.n = n;
@@ -538,66 +516,12 @@ int main() {
               optimized_faster ? "2-round protocol is faster"
                                : "VIOLATION: 5-round protocol won");
 
-  // ---- phase 2: the same grid on the M:N pool ------------------------
-  std::printf("\nreconfiguration latency, pool backend (W = "
-              "hardware_concurrency, %d cycles)\n",
-              cycles);
-  Table pool_table(
-      {"protocol", "n", "samples", "p50 us", "p99 us", "digest vs thread"});
-  std::vector<LatencyRow> pool_rows;
-  std::vector<std::uint64_t> pool_optimized_all;
-  std::vector<std::uint64_t> pool_three_phase_all;
-  bool pool_digests_match = true;
-  for (ProtocolKind kind : kinds) {
-    for (std::uint32_t n : widths) {
-      const MeasureOut cell =
-          measure(kind, n, cycles, /*probes=*/false, /*collect_windows=*/false,
-                  RuntimeBackend::kPool);
-      const bool match = cell.digest == thread_digests[{static_cast<int>(kind), n}];
-      pool_digests_match &= match;
-      LatencyRow row;
-      row.kind = kind;
-      row.n = n;
-      row.samples = cell.latencies.size();
-      row.p50_us = percentile(cell.latencies, 50);
-      row.p99_us = percentile(cell.latencies, 99);
-      pool_table.add_row({to_string(kind), std::to_string(n),
-                          std::to_string(row.samples),
-                          std::to_string(row.p50_us),
-                          std::to_string(row.p99_us),
-                          match ? "equal" : "DIVERGED"});
-      pool_rows.push_back(row);
-      if (kind == ProtocolKind::kOptimized) {
-        pool_optimized_all.insert(pool_optimized_all.end(),
-                                  cell.latencies.begin(),
-                                  cell.latencies.end());
-      } else if (kind == ProtocolKind::kThreePhaseRecovery) {
-        pool_three_phase_all.insert(pool_three_phase_all.end(),
-                                    cell.latencies.begin(),
-                                    cell.latencies.end());
-      }
-    }
-  }
-  std::printf("%s\n", pool_table.to_string().c_str());
-
-  const std::uint64_t pool_optimized_p50 = percentile(pool_optimized_all, 50);
-  const std::uint64_t pool_three_phase_p50 =
-      percentile(pool_three_phase_all, 50);
-  const bool pool_optimized_faster = pool_optimized_p50 < pool_three_phase_p50;
-  std::printf("C5 on the pool: optimized p50 %llu us vs three-phase recovery "
-              "p50 %llu us -> %s; per-cell digests %s\n",
-              static_cast<unsigned long long>(pool_optimized_p50),
-              static_cast<unsigned long long>(pool_three_phase_p50),
-              pool_optimized_faster ? "2-round protocol is faster"
-                                    : "VIOLATION: 5-round protocol won",
-              pool_digests_match ? "all equal thread backend" : "DIVERGED");
-
-  // ---- phase 3: where the reconfiguration microseconds go ------------
+  // ---- phase 2: where the reconfiguration microseconds go ------------
   const std::uint32_t phase_n = quick ? 4 : 8;
   const int phase_cycles = quick ? 3 : 8;
-  std::printf("\nphase breakdown, probes on (n=%u, %d cycles, attributed on "
-              "the last-forming thread)\n",
-              phase_n, phase_cycles);
+  std::printf("\nphase breakdown, probes on (n=%u, W=%u, %d cycles, "
+              "attributed on the last-forming process's worker)\n",
+              phase_n, phase_n, phase_cycles);
   Table phase_table({"protocol", "reconfigs", "wall p50 us", "queued %",
                      "parked %", "exec %", "slop %", "unattr %"});
   std::vector<PhaseStats> phase_rows;
@@ -645,7 +569,7 @@ int main() {
   meta.protocol = to_string(ProtocolKind::kOptimized);
   meta.n = phase_n;
   meta.wheel_tick_us = RuntimeOptions{}.wheel_tick_us;
-  meta.workers = 0;  // thread backend: one lane per process
+  meta.workers = phase_n;
   const std::string probes_path = write_json_file(
       "runtime_probes.json",
       runtime_probes_json(meta, flagship_logs, flagship_windows));
@@ -653,26 +577,7 @@ int main() {
     std::printf("probe document -> %s\n", probes_path.c_str());
   }
 
-  // A probed pool run of the same cell at W=2, exported so `dvtrace
-  // runtime` has per-worker lanes (batch sizes, run-queue depths,
-  // handoffs) to render and the Chrome export maps one tid per worker.
-  {
-    MeasureOut pool_probed =
-        measure(ProtocolKind::kOptimized, phase_n, phase_cycles,
-                /*probes=*/true, /*collect_windows=*/true,
-                RuntimeBackend::kPool, /*workers=*/2);
-    obs::RuntimeProbeMeta pool_meta = meta;
-    pool_meta.workers = 2;
-    const std::string pool_probes_path = write_json_file(
-        "runtime_pool_probes.json",
-        runtime_probes_json(pool_meta, pool_probed.logs, pool_probed.windows));
-    if (!pool_probes_path.empty()) {
-      std::printf("pool probe document (W=2) -> %s\n",
-                  pool_probes_path.c_str());
-    }
-  }
-
-  // ---- phase 4: what the probes cost ---------------------------------
+  // ---- phase 3: what the probes cost ---------------------------------
   double overhead = 0;
   const bool overhead_digests_equal =
       // Quick mode uses more cycles/reps per cell than the rest of the
@@ -681,30 +586,18 @@ int main() {
       // min-of-pairs estimator needs enough pairs for one clean one.
       measure_overhead(phase_n, quick ? 6 : 4, quick ? 6 : 5, overhead);
   const bool overhead_ok = overhead < 0.05 && overhead_digests_equal;
-  std::printf("probe overhead, thread backend (min of adjacent-pair CPU "
-              "ratios): %.2f%% (budget 5%%) digests %s -> %s\n",
+  std::printf("probe overhead (min of adjacent-pair CPU ratios): %.2f%% "
+              "(budget 5%%) digests %s -> %s\n",
               overhead * 100.0, overhead_digests_equal ? "equal" : "UNEQUAL",
               overhead_ok ? "ok" : "FAIL");
 
-  double pool_overhead = 0;
-  const bool pool_overhead_digests_equal =
-      measure_overhead(phase_n, quick ? 6 : 4, quick ? 6 : 5, pool_overhead,
-                       RuntimeBackend::kPool);
-  const bool pool_overhead_ok = pool_overhead < 0.05 &&
-                                pool_overhead_digests_equal;
-  std::printf("probe overhead, pool backend: %.2f%% (budget 5%%) digests %s "
-              "-> %s\n",
-              pool_overhead * 100.0,
-              pool_overhead_digests_equal ? "equal" : "UNEQUAL",
-              pool_overhead_ok ? "ok" : "FAIL");
-
-  // ---- phase 5: fleet-width scaling on the pool ----------------------
+  // ---- phase 4: fleet-width scaling ----------------------------------
   const std::vector<std::uint32_t> scale_widths =
       quick ? std::vector<std::uint32_t>{64}
             : std::vector<std::uint32_t>{64, 256, 1024};
   const int scale_cycles = quick ? 2 : 3;
-  std::printf("\nfleet-width scaling, pool backend (groups of 32, %d "
-              "alternating-carve cycles)\n",
+  std::printf("\nfleet-width scaling, W = hardware_concurrency (groups of "
+              "32, %d alternating-carve cycles)\n",
               scale_cycles);
   Table scale_table({"n", "workers", "groups", "samples", "reconfig p50 us",
                      "reconfig p99 us", "formed quorums/s"});
@@ -747,20 +640,6 @@ int main() {
   }
   result.set("rows", std::move(latency_rows));
 
-  JsonValue pool_latency_rows = JsonValue::array();
-  for (const LatencyRow& row : pool_rows) {
-    JsonValue json_row = JsonValue::object();
-    json_row.set("protocol", JsonValue(to_string(row.kind)));
-    json_row.set("n", JsonValue(std::uint64_t{row.n}));
-    json_row.set("samples", JsonValue(std::uint64_t{row.samples}));
-    json_row.set("p50_us", JsonValue(row.p50_us));
-    json_row.set("p50_us_budget", JsonValue(std::uint64_t{2000000}));
-    json_row.set("p99_us", JsonValue(row.p99_us));
-    json_row.set("p99_us_budget", JsonValue(std::uint64_t{10000000}));
-    pool_latency_rows.push_back(std::move(json_row));
-  }
-  result.set("pool_rows", std::move(pool_latency_rows));
-
   JsonValue phases = JsonValue::object();
   phases.set("n", JsonValue(std::uint64_t{phase_n}));
   phases.set("cycles", JsonValue(std::uint64_t{
@@ -787,10 +666,6 @@ int main() {
   overhead_json.set("probe_overhead_frac", JsonValue(overhead));
   overhead_json.set("probe_overhead_frac_budget", JsonValue(0.05));
   overhead_json.set("digests_equal", JsonValue(overhead_digests_equal));
-  overhead_json.set("pool_probe_overhead_frac", JsonValue(pool_overhead));
-  overhead_json.set("pool_probe_overhead_frac_budget", JsonValue(0.05));
-  overhead_json.set("pool_digests_equal",
-                    JsonValue(pool_overhead_digests_equal));
   result.set("overhead", std::move(overhead_json));
 
   JsonValue comparison = JsonValue::object();
@@ -801,18 +676,6 @@ int main() {
                  JsonValue(std::uint64_t{10000000}));
   comparison.set("optimized_faster", JsonValue(optimized_faster));
   result.set("comparison", std::move(comparison));
-
-  JsonValue pool_comparison = JsonValue::object();
-  pool_comparison.set("optimized_p50_us", JsonValue(pool_optimized_p50));
-  pool_comparison.set("optimized_p50_us_budget",
-                      JsonValue(std::uint64_t{2000000}));
-  pool_comparison.set("three_phase_p50_us", JsonValue(pool_three_phase_p50));
-  pool_comparison.set("three_phase_p50_us_budget",
-                      JsonValue(std::uint64_t{10000000}));
-  pool_comparison.set("optimized_faster", JsonValue(pool_optimized_faster));
-  pool_comparison.set("digests_match_thread_backend",
-                      JsonValue(pool_digests_match));
-  result.set("pool_comparison", std::move(pool_comparison));
 
   JsonValue scaling = JsonValue::object();
   scaling.set("group_size", JsonValue(std::uint64_t{32}));
@@ -844,8 +707,5 @@ int main() {
   result.set("scaling", std::move(scaling));
   emit_bench_result("runtime", result);
 
-  return optimized_faster && pool_optimized_faster && pool_digests_match &&
-                 phases_ok && overhead_ok && pool_overhead_ok
-             ? 0
-             : 1;
+  return optimized_faster && phases_ok && overhead_ok ? 0 : 1;
 }

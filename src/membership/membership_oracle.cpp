@@ -9,32 +9,19 @@ MembershipOracle::MembershipOracle(sim::Simulator& sim,
 }
 
 void MembershipOracle::on_topology_changed() {
-  for (const ProcessSet& component : sim_.network().live_components()) {
-    // Only announce a view if some member's latest announced membership
-    // differs; otherwise this component is untouched by the change.
-    bool changed = false;
-    for (ProcessId p : component) {
-      auto it = latest_scheduled_.find(p);
-      if (it == latest_scheduled_.end() || it->second.members != component) {
-        changed = true;
-        break;
-      }
-    }
-    if (!changed) continue;
-    View view{ViewId(next_view_id_++), component};
-    schedule_view(view);
-  }
+  announcer_.announce_changed(
+      sim_.network().live_components(),
+      [this](const View& view) { schedule_view(view); });
 }
 
 ViewId MembershipOracle::inject_view(const ProcessSet& members) {
-  View view{ViewId(next_view_id_++), members};
+  const View view = announcer_.announce(members);
   schedule_view(view);
   return view.id;
 }
 
 void MembershipOracle::schedule_view(const View& view) {
   for (ProcessId p : view.members) {
-    latest_scheduled_[p] = view;
     const SimTime delay = options_.detection_delay_min +
                           rng_.next_below(options_.detection_delay_max -
                                           options_.detection_delay_min + 1);
@@ -42,8 +29,8 @@ void MembershipOracle::schedule_view(const View& view) {
       // Suppress if a newer view superseded this one for p, or if p is
       // down. (A crashed-and-recovered p gets fresh views from the
       // recovery's own topology change.)
-      auto it = latest_scheduled_.find(p);
-      if (it == latest_scheduled_.end() || it->second.id != view.id) return;
+      const View* latest = announcer_.latest(p);
+      if (latest == nullptr || latest->id != view.id) return;
       if (!sim_.network().alive(p)) return;
       sim_.node(p).deliver_view(view);
     });

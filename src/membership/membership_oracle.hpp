@@ -21,9 +21,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 
 #include "membership/view.hpp"
+#include "membership/view_announcer.hpp"
 #include "sim/simulator.hpp"
 #include "util/ids.hpp"
 #include "util/process_set.hpp"
@@ -52,7 +52,7 @@ class MembershipOracle {
 
   /// Number of views generated so far.
   [[nodiscard]] std::uint64_t views_generated() const noexcept {
-    return next_view_id_ - 1;
+    return announcer_.views_announced();
   }
 
  private:
@@ -62,11 +62,10 @@ class MembershipOracle {
   sim::Simulator& sim_;
   MembershipOptions options_;
   Rng rng_;
-  std::uint64_t next_view_id_ = 1;
-  /// Newest view scheduled for each process; an older scheduled delivery
-  /// that fires after a newer view was announced is suppressed (the
-  /// member "skips" the superseded view).
-  std::map<ProcessId, View> latest_scheduled_;
+  /// View ids and each process's newest announced view; an older
+  /// scheduled delivery that fires after a newer view was announced is
+  /// suppressed (the member "skips" the superseded view).
+  ViewAnnouncer announcer_;
 };
 
 }  // namespace dynvote

@@ -1,15 +1,15 @@
-// Wall-clock probe rings for the thread-per-process runtime backend.
+// Wall-clock probe rings for the runtime (runtime/pool_transport.hpp).
 //
 // The DES observability spine (TraceSink -> MetricsHub -> FlightRecorder)
-// speaks simulated time; the runtime backend (runtime/thread_transport.hpp)
-// runs on real threads, where the interesting questions are wall-clock
-// ones: how long did a message sit in its SPSC ring, how long was a
-// thread parked, how late did a timer fire, where did a reconfiguration's
-// microseconds actually go. ProbeRing answers them without perturbing the
-// system under test:
+// speaks simulated time; the runtime runs on real threads, where the
+// interesting questions are wall-clock ones: how long did a message sit
+// in its ring, how long was a worker parked, how late did a timer fire,
+// where did a reconfiguration's microseconds actually go. ProbeRing
+// answers them without perturbing the system under test:
 //
-//  * one ring per thread, written only by its owning thread — lock-free
-//    by construction, no atomics on the record path;
+//  * one ring per lane (a pool worker, or the controller), written only
+//    by its owning thread — lock-free by construction, no atomics on
+//    the record path;
 //  * zero allocation after construction: fixed-size POD entries in a
 //    preallocated ring, overwritten in place oldest-first (the
 //    FlightRecorder discipline, flattened to PODs);
@@ -44,10 +44,10 @@ namespace dynvote::obs {
 
 /// Version stamped into runtime_probes_json(); bump on any incompatible
 /// change to the probe-document shape. v2: pool-scheduler kinds
-/// (batch / run_queue / handoff), `workers` in the meta (0 = one lane
-/// per process, >0 = per-worker lanes with handler entries stamping the
-/// handling process in `link`).
-inline constexpr int kRuntimeProbeSchemaVersion = 2;
+/// (batch / run_queue / handoff) and `workers` in the meta. v3: lanes
+/// are always workers (`workers` >= 1, handler entries stamp the
+/// handling process in `link`); the per-link `push` kind is gone.
+inline constexpr int kRuntimeProbeSchemaVersion = 3;
 
 /// `link` value for "the controller lane" (pushes from / pops of the
 /// control queue) and for entries with no peer at all (parks, timers).
@@ -55,7 +55,6 @@ inline constexpr std::uint16_t kControllerLane = 0xFFFF;
 inline constexpr std::uint16_t kNoLane = 0xFFFE;
 
 enum class ProbeKind : std::uint8_t {
-  kLinkPush,        // data-link push; value = producer-side depth after push
   kLinkPushFailed,  // backpressure episode; t = first failed push,
                     // value = stall duration ns until the push landed
   kLinkPop,         // data-link pop; value = queue wait ns (pop - send)
@@ -70,7 +69,6 @@ enum class ProbeKind : std::uint8_t {
   kHandlerMessage,  // t = begin, value = handler duration ns
   kHandlerControl,  // t = begin, value = handler duration ns
   kHandlerTimer,    // t = begin, value = duration of a firing advance()
-  // Pool-scheduler kinds (per-worker lanes; schema v2):
   kBatch,           // one batched inbox drain; value = batch size,
                     // link = source lane (sender / source worker)
   kRunQueue,        // local run-queue sample; value = depth after a
@@ -141,7 +139,7 @@ class ProbeRing {
   std::uint64_t next_ = 0;
 };
 
-/// One lane's snapshot: a process thread (thread = its index) or the
+/// One lane's snapshot: a pool worker (thread = its index) or the
 /// controller (thread = kControllerLane).
 struct ThreadProbeLog {
   std::uint32_t thread = 0;
@@ -206,11 +204,14 @@ struct RuntimeProbeMeta {
   std::string protocol;
   std::uint32_t n = 0;
   std::uint64_t wheel_tick_us = 0;
-  /// 0: thread-per-process backend, one lane per process. >0: pool
-  /// backend with this many workers — lanes are workers, and handler
-  /// entries carry the handling process's index in `link`.
+  /// Pool worker count: one lane per worker; handler entries carry the
+  /// handling process's index in `link`.
   std::uint32_t workers = 0;
 };
+
+/// Display name of a lane: "w<i>" for worker i, "ctl" for the
+/// controller.
+[[nodiscard]] std::string lane_name(std::uint32_t thread);
 
 /// The schema-versioned document `dvtrace runtime` consumes:
 /// {schema_version, experiment:"runtime_probes", protocol, n,

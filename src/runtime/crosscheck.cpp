@@ -186,7 +186,7 @@ std::string run_fleet(FleetOptions options,
 CrossCheckResult run_scenario(ProtocolKind kind, std::uint32_t n,
                               std::uint64_t seed, std::size_t steps,
                               bool probes,
-                              const std::vector<std::uint32_t>& pool_workers) {
+                              std::vector<std::uint32_t> pool_workers) {
   ensure(deterministic_outcome(kind),
          std::string("cross-check does not cover protocol kind ") +
              dynvote::to_string(kind));
@@ -226,27 +226,23 @@ CrossCheckResult run_scenario(ProtocolKind kind, std::uint32_t n,
     result.sim_digest = fnv1a64(result.sim_summary);
   }
 
-  {  // thread-per-process run, same script
-    FleetOptions options;
-    options.kind = kind;
-    options.n = n;
-    options.runtime.probes = probes;
-    result.runtime_summary = run_fleet(std::move(options), script,
-                                       result.c1_clean);
-    result.runtime_digest = fnv1a64(result.runtime_summary);
+  if (pool_workers.empty()) {
+    for (const std::uint32_t workers : {1u, 2u, 4u, n}) {
+      if (workers <= n && std::find(pool_workers.begin(), pool_workers.end(),
+                                    workers) == pool_workers.end()) {
+        pool_workers.push_back(workers);
+      }
+    }
   }
-
-  bool all_equal = result.sim_digest == result.runtime_digest &&
-                   result.sim_summary == result.runtime_summary;
 
   // Pool runs, same script, once per worker count: the M:N scheduler
   // must reproduce the exact transcript at ANY W.
+  bool all_equal = true;
   for (const std::uint32_t workers : pool_workers) {
     FleetOptions options;
     options.kind = kind;
     options.n = n;
     options.runtime.probes = probes;
-    options.backend = RuntimeBackend::kPool;
     options.workers = workers;
     const std::string summary = run_fleet(std::move(options), script,
                                           result.c1_clean);

@@ -1,6 +1,5 @@
 #include "runtime/fleet.hpp"
 
-#include <algorithm>
 #include <set>
 #include <utility>
 
@@ -28,14 +27,8 @@ RuntimeFleet::RuntimeFleet(FleetOptions options)
   }
   for (ProcessId p : config_.core) ids.push_back(p);
 
-  if (options_.backend == RuntimeBackend::kPool) {
-    transport_ = std::make_unique<PoolTransport>(ids, options_.workers,
-                                                 options_.runtime);
-  } else {
-    transport_ = std::make_unique<ThreadTransport>(ids, options_.runtime);
-  }
-  latest_members_.resize(ids.size());
-  has_view_.resize(ids.size(), false);
+  transport_ = std::make_unique<PoolTransport>(ids, options_.workers,
+                                               options_.runtime);
   nodes_.reserve(ids.size());
   for (ProcessId p : ids) {
     nodes_.push_back(make_protocol(options_.kind, *transport_, p, config_));
@@ -65,52 +58,29 @@ void RuntimeFleet::stop() { transport_->stop_and_join(); }
 
 void RuntimeFleet::partition(const std::vector<ProcessSet>& groups) {
   transport_->set_components(groups);
-  announce_views();
-  transport_->quiesce();
+  announce_and_quiesce();
 }
 
 void RuntimeFleet::merge() {
   transport_->merge_all();
-  announce_views();
-  transport_->quiesce();
+  announce_and_quiesce();
 }
 
 void RuntimeFleet::crash(ProcessId p) {
   transport_->crash(p);
-  announce_views();
-  transport_->quiesce();
+  announce_and_quiesce();
 }
 
 void RuntimeFleet::recover(ProcessId p) {
   transport_->recover(p);
-  announce_views();
-  transport_->quiesce();
+  announce_and_quiesce();
 }
 
-void RuntimeFleet::announce_views() {
-  const auto& ids = transport_->processes();
-  auto slot_of = [&](ProcessId p) {
-    return static_cast<std::size_t>(
-        std::find(ids.begin(), ids.end(), p) - ids.begin());
-  };
-  for (const ProcessSet& component : transport_->live_components()) {
-    bool changed = false;
-    for (ProcessId p : component) {
-      const std::size_t slot = slot_of(p);
-      if (!has_view_[slot] || latest_members_[slot] != component) {
-        changed = true;
-        break;
-      }
-    }
-    if (!changed) continue;
-    View view{ViewId(next_view_id_++), component};
-    for (ProcessId p : component) {
-      const std::size_t slot = slot_of(p);
-      latest_members_[slot] = component;
-      has_view_[slot] = true;
-    }
-    transport_->post_view(view);
-  }
+void RuntimeFleet::announce_and_quiesce() {
+  announcer_.announce_changed(
+      transport_->live_components(),
+      [this](const View& view) { transport_->post_view(view); });
+  transport_->quiesce();
 }
 
 std::vector<ProcessProbe> RuntimeFleet::probe() {
@@ -121,7 +91,7 @@ std::vector<ProcessProbe> RuntimeFleet::probe() {
     slot.id = ids[i];
     slot.alive = transport_->alive(ids[i]);
     ProtocolNode* node = nodes_[i].get();
-    // Reads run on the owning thread; quiesce() below is the barrier
+    // Reads run on the owning worker; quiesce() below is the barrier
     // that publishes them back to the controller.
     transport_->run_on(ids[i], [&slot, node] {
       slot.is_primary = node->is_primary();
@@ -134,8 +104,6 @@ std::vector<ProcessProbe> RuntimeFleet::probe() {
 }
 
 std::vector<obs::ThreadProbeLog> RuntimeFleet::probe_logs() {
-  // Lane layout is backend-specific (process threads vs pool workers),
-  // so the transport owns the snapshot logic.
   return transport_->snapshot_probe_logs();
 }
 

@@ -1,18 +1,17 @@
-// RuntimeFleet: one real-thread system running one protocol variant.
+// RuntimeFleet: one wall-clock system running one protocol variant.
 //
-// The runtime analogue of harness::Cluster: wires a ThreadTransport to
-// one protocol node per process, plays the membership oracle's role
-// (the oracle itself is simulator-scheduled, so the fleet re-implements
-// its exact view-announcement algorithm over the transport's live
-// components — same view-id sequence, same changed-component filter),
-// and exposes the same fault-injection verbs. Between verbs the fleet
-// quiesces the transport, which makes the execution step-deterministic:
-// every topology step runs to a fixed point before the next, exactly
-// like Cluster::settle() — that is what lets the DES act as the oracle
-// for this backend (runtime/crosscheck.hpp).
+// The runtime analogue of harness::Cluster: wires a PoolTransport to one
+// protocol node per process, announces views through the same
+// ViewAnnouncer the simulator's MembershipOracle uses (same view-id
+// sequence, same changed-component rule) over the transport's live
+// components, and exposes the same fault-injection verbs. Between verbs
+// the fleet quiesces the transport, which makes the execution
+// step-deterministic: every topology step runs to a fixed point before
+// the next, exactly like Cluster::settle() — that is what lets the DES
+// act as the oracle for the runtime (runtime/crosscheck.hpp).
 //
 // Thread-safety: all methods are controller-thread only. probe() reads
-// node state from the owning threads (via run_on + quiesce), so it is
+// node state on the owning workers (via run_on + quiesce), so it is
 // safe while running; outcome_summary()/outcome_digest() require the
 // fleet to be stopped.
 #pragma once
@@ -24,19 +23,16 @@
 #include <vector>
 
 #include "dv/service.hpp"
+#include "membership/view_announcer.hpp"
 #include "runtime/pool_transport.hpp"
-#include "runtime/runtime_transport.hpp"
-#include "runtime/thread_transport.hpp"
 #include "util/ids.hpp"
 #include "util/process_set.hpp"
 
 namespace dynvote::runtime {
 
-/// Which wall-clock execution engine backs the fleet.
-enum class RuntimeBackend : std::uint8_t {
-  kThreadPerProcess,  // ThreadTransport: one OS thread per process
-  kPool,              // PoolTransport: N processes over W workers
-};
+// Named only by perfbench/, whose sources stay fixed; they select nothing.
+using RuntimeTransport = PoolTransport;
+enum class RuntimeBackend : std::uint8_t { kPool };
 
 struct FleetOptions {
   ProtocolKind kind = ProtocolKind::kOptimized;
@@ -44,14 +40,14 @@ struct FleetOptions {
   std::uint32_t n = 5;
   DvConfig config;
   RuntimeOptions runtime;
-  RuntimeBackend backend = RuntimeBackend::kThreadPerProcess;
-  /// Pool worker count (kPool only); 0 = hardware_concurrency, always
-  /// clamped to [1, n].
+  RuntimeBackend backend = RuntimeBackend::kPool;
+  /// Pool worker count; 0 = hardware_concurrency, always clamped to
+  /// [1, n]. W = n gives every process its own worker thread.
   std::uint32_t workers = 0;
 };
 
 /// One process's state as observed by probe(): read on the process's
-/// own thread, published to the controller by the quiesce barrier.
+/// worker, published to the controller by the quiesce barrier.
 struct ProcessProbe {
   ProcessId id;
   bool alive = false;
@@ -68,11 +64,11 @@ class RuntimeFleet {
   RuntimeFleet(const RuntimeFleet&) = delete;
   RuntimeFleet& operator=(const RuntimeFleet&) = delete;
 
-  /// Spawns the process threads, connects everyone, announces the first
+  /// Spawns the worker threads, connects everyone, announces the first
   /// view, and waits for the initial sessions to settle.
   void start();
 
-  /// Stops and joins all process threads. Idempotent; the destructor
+  /// Stops and joins all worker threads. Idempotent; the destructor
   /// calls it. After stop() the outcome accessors are available.
   void stop();
 
@@ -85,9 +81,8 @@ class RuntimeFleet {
   /// Snapshot of every process's protocol state, in id order.
   [[nodiscard]] std::vector<ProcessProbe> probe();
 
-  /// Snapshot of every probe ring: one lane per execution thread (the
-  /// backend decides — process threads or pool workers; copied on the
-  /// owning thread via run_on + quiesce) plus the controller lane
+  /// Snapshot of every probe ring: one lane per worker (copied on the
+  /// owning worker via run_on + quiesce) plus the controller lane
   /// (thread = obs::kControllerLane). Empty when the fleet was built
   /// without runtime.probes.
   [[nodiscard]] std::vector<obs::ThreadProbeLog> probe_logs();
@@ -107,7 +102,7 @@ class RuntimeFleet {
   /// FNV-1a 64 of outcome_summary().
   [[nodiscard]] std::uint64_t outcome_digest();
 
-  [[nodiscard]] RuntimeTransport& transport() noexcept { return *transport_; }
+  [[nodiscard]] PoolTransport& transport() noexcept { return *transport_; }
   [[nodiscard]] const std::vector<ProcessId>& processes() const noexcept {
     return transport_->processes();
   }
@@ -115,20 +110,15 @@ class RuntimeFleet {
   [[nodiscard]] const DvConfig& config() const noexcept { return config_; }
 
  private:
-  /// MembershipOracle::on_topology_changed, verbatim: announce a fresh
-  /// view (ids from next_view_id_, starting 1) for every live component
-  /// whose membership differs from some member's latest view.
-  void announce_views();
+  /// Runs after every topology verb: posts the views the change calls
+  /// for, then waits for the fleet to settle.
+  void announce_and_quiesce();
 
   FleetOptions options_;
   DvConfig config_;
-  std::unique_ptr<RuntimeTransport> transport_;
+  std::unique_ptr<PoolTransport> transport_;
   std::vector<std::unique_ptr<ProtocolNode>> nodes_;  // id order
-  /// latest_scheduled_ mirror: the members of the last view announced to
-  /// each process (persists across crashes, exactly like the oracle).
-  std::vector<ProcessSet> latest_members_;
-  std::vector<bool> has_view_;
-  std::uint64_t next_view_id_ = 1;
+  ViewAnnouncer announcer_;
   bool started_ = false;
 };
 

@@ -1,15 +1,28 @@
-// PoolTransport: the M:N real-time backend — N protocol processes
+// PoolTransport: the wall-clock runtime — N protocol processes
 // multiplexed over a fixed pool of W worker event loops.
 //
-// ThreadTransport (one OS thread per process) is the semantically
-// simplest wall-clock backend, but a thread per process caps fleets at
-// n≈32 runnable threads. This backend keeps the exact same
-// sim::Transport seam and sim::Network-mirroring semantics while
-// scheduling processes cooperatively:
+// Implements sim::Transport over real threads and a monotonic
+// microsecond clock, with sim::Network's semantics so the DES remains a
+// valid oracle (runtime/crosscheck.hpp):
+//
+//  * connectivity is component-based: connected(a,b) iff both alive and
+//    in the same component; set_components / merge_all / crash /
+//    recover reshape components exactly like Network's versions (a
+//    recovering process comes back as a fresh singleton);
+//  * every pair carries a link epoch, bumped on each disconnection; a
+//    message is stamped with the epoch at send and dropped at delivery
+//    if the link's epoch moved — a partition loses in-flight traffic
+//    (paper section 3);
+//  * per-pair FIFO holds, and Lamport clocks advance exactly as in
+//    Network (send ticks the sender, delivery merges).
+//
+// Scheduling is cooperative:
 //
 //  * each worker owns a static shard of processes (index mod W — no
 //    migration, so every per-process structure stays single-threaded),
-//    one merged timer wheel, and one probe lane;
+//    one merged timer wheel, and one probe lane. W ranges over [1, n]:
+//    at W = n lane i runs exactly process i, at W = 1 the whole fleet
+//    shares one thread;
 //  * cross-worker messages travel over W×W SPSC rings (one per ordered
 //    worker pair — SPSC holds because a process never leaves its
 //    worker, and per-process-pair FIFO is preserved because all p→q
@@ -43,14 +56,16 @@
 // Determinism: for the protocols whose phase structure waits on ALL
 // view members (the cross-check allow-list), per-process outcome
 // transcripts are arrival-order independent, so outcome digests are
-// byte-identical at ANY worker count — and equal to ThreadTransport's
-// and the DES oracle's. runtime/crosscheck.hpp enforces all of this on
-// every seeded scenario.
+// byte-identical at ANY worker count — and equal to the DES oracle's.
+// runtime/crosscheck.hpp enforces this on every seeded scenario.
 //
-// Threading contract: identical to ThreadTransport — Transport surface
-// from owning-worker handler context only, controller surface from the
-// single controlling thread, per-process observability state reachable
-// only via run_on + quiesce or after the join.
+// Threading contract: the Transport surface is called only from the
+// acting process's worker (the sim::Node handlers run there); the
+// controller surface (lifecycle, topology, post_view, run_on, quiesce,
+// probe snapshots) only from the single controlling thread.
+// Per-process observability state (trace/metrics/storage/logger) is
+// unsynchronized; the controller may touch it only through run_on +
+// quiesce, or after stop_and_join.
 #pragma once
 
 #include <atomic>
@@ -66,9 +81,7 @@
 #include "obs/runtime_probe.hpp"
 #include "obs/trace.hpp"
 #include "runtime/eventcount.hpp"
-#include "runtime/runtime_transport.hpp"
 #include "runtime/spsc_queue.hpp"
-#include "runtime/thread_transport.hpp"  // RuntimeOptions
 #include "runtime/timer_wheel.hpp"
 #include "sim/node.hpp"
 #include "sim/stable_storage.hpp"
@@ -79,7 +92,37 @@
 
 namespace dynvote::runtime {
 
-class PoolTransport final : public RuntimeTransport {
+struct RuntimeOptions {
+  /// Floor on each cross-worker data ring's capacity, in messages (the
+  /// ring grows with the shard size; spill deques absorb overflow, so
+  /// this is backpressure headroom, not a correctness bound).
+  std::size_t link_capacity = 256;
+  /// Floor on each worker's control-queue capacity.
+  std::size_t control_capacity = 128;
+  /// Timer-wheel slot granularity, microseconds.
+  SimTime wheel_tick_us = 1024;
+  /// Per-process logger threshold.
+  LogLevel log_level = LogLevel::kWarn;
+  /// Per-process trace-ring capacity. Bounded by default so long
+  /// benches don't grow trace memory without limit; the default is far
+  /// above any cross-check scenario's event count, so digests are
+  /// unaffected. 0 is the explicit unbounded opt-out for runs that need
+  /// the complete history regardless of length.
+  std::size_t trace_capacity = 65536;
+  /// Wall-clock probe rings (obs/runtime_probe.hpp). Off by default;
+  /// when off no ring exists and every record site is a single branch
+  /// on a null pointer.
+  bool probes = false;
+  /// Per-lane probe-ring capacity (entries, rounded up to a power of
+  /// two); older entries are overwritten in place. The default (256KB
+  /// per lane) retains several bench runs' worth of events; keeping it
+  /// modest also keeps the probes-on fleet construction cost inside the
+  /// <5% overhead budget under sanitizer builds, where large
+  /// allocations carry per-byte poisoning cost.
+  std::size_t probe_capacity = 1 << 13;
+};
+
+class PoolTransport final : public sim::Transport {
  public:
   /// `workers` = 0 picks hardware_concurrency; the count is always
   /// clamped to [1, n] (more workers than processes would idle).
@@ -110,42 +153,54 @@ class PoolTransport final : public RuntimeTransport {
 
   // -- controller surface ---------------------------------------------------
 
-  void set_node(sim::Node* node) override;
-  void start() override;
-  void stop_and_join() override;
-  [[nodiscard]] bool running() const noexcept override { return running_; }
+  /// Attaches the node that runs in `node->id()`'s execution context.
+  /// All nodes must be attached before start(); borrowed, must outlive
+  /// stop.
+  void set_node(sim::Node* node);
+  /// Spawns the worker threads. One lifecycle per transport.
+  void start();
+  /// Signals every worker to finish its remaining work and exit, then
+  /// joins them. Safe to call twice; the destructor calls it.
+  void stop_and_join();
+  [[nodiscard]] bool running() const noexcept { return running_; }
 
-  void set_components(const std::vector<ProcessSet>& groups) override;
-  void merge_all() override;
-  void crash(ProcessId p) override;
-  void recover(ProcessId p) override;
-  [[nodiscard]] bool alive(ProcessId p) const override;
-  [[nodiscard]] std::vector<ProcessSet> live_components() const override;
+  // Topology, mirroring sim::Network; call at quiescence only.
+  void set_components(const std::vector<ProcessSet>& groups);
+  void merge_all();
+  void crash(ProcessId p);
+  void recover(ProcessId p);
+  [[nodiscard]] bool alive(ProcessId p) const;
+  /// Components with dead members filtered out, sorted by smallest
+  /// member — the shape ViewAnnouncer consumes.
+  [[nodiscard]] std::vector<ProcessSet> live_components() const;
 
-  void post_view(const View& view) override;
-  void run_on(ProcessId p, sim::TimerAction fn) override;
-  void quiesce() override;
+  /// Enqueues deliver_view(view) in every member's execution context.
+  void post_view(const View& view);
+  /// Runs `fn` in p's execution context (state probes; effects are
+  /// visible to the controller after the next quiesce()).
+  void run_on(ProcessId p, sim::TimerAction fn);
+  /// Blocks until no message, control item or handler is in flight
+  /// anywhere — the real-time analogue of the simulator's settle().
+  void quiesce();
 
-  [[nodiscard]] const std::vector<ProcessId>& processes()
-      const noexcept override {
+  [[nodiscard]] const std::vector<ProcessId>& processes() const noexcept {
     return ids_;
   }
 
   // -- probe surface --------------------------------------------------------
 
-  [[nodiscard]] bool probes_enabled() const noexcept override {
-    return options_.probes;
-  }
-  /// One lane per worker.
-  [[nodiscard]] std::size_t lanes() const noexcept override {
-    return workers_.size();
-  }
-  [[nodiscard]] std::uint32_t lane_of(ProcessId p) const override {
+  /// The probe lane (worker) that records p's handlers.
+  [[nodiscard]] std::uint32_t lane_of(ProcessId p) const {
     return slot(p).worker;
   }
-  [[nodiscard]] std::vector<obs::ThreadProbeLog> snapshot_probe_logs()
-      override;
-  [[nodiscard]] std::uint64_t now_ns() const override {
+  /// Snapshot of every probe ring: one log per worker (thread = worker
+  /// index, copied on the owning worker via run_on + quiesce while
+  /// running) plus the controller lane (thread = obs::kControllerLane).
+  /// Empty when probes are off.
+  [[nodiscard]] std::vector<obs::ThreadProbeLog> snapshot_probe_logs();
+  /// Nanoseconds since transport start — the probe timestamp clock,
+  /// 1000x finer than now() on the same epoch.
+  [[nodiscard]] std::uint64_t now_ns() const {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - start_time_)
@@ -260,8 +315,7 @@ class PoolTransport final : public RuntimeTransport {
 
   RuntimeOptions options_;
   std::vector<ProcessId> ids_;
-  /// (id, index) sorted by id — O(log n) lookup on the send path (the
-  /// thread backend's linear scan is fine at n≤32; at n=1024 it is not).
+  /// (id, index) sorted by id — O(log n) lookup on the send path.
   std::vector<std::pair<ProcessId, std::size_t>> lookup_;
   std::vector<std::unique_ptr<Slot>> slots_;    // stable addresses, id order
   std::vector<std::unique_ptr<Worker>> workers_;  // stable addresses

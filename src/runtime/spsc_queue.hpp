@@ -1,10 +1,10 @@
 // SpscQueue: a bounded lock-free single-producer single-consumer ring.
 //
-// The runtime backend (runtime/thread_transport.hpp) connects every
-// ordered process pair with one of these, so a link is exactly one
-// producer thread (the sender) and one consumer thread (the receiver)
-// — the only shape that admits a wait-free ring with plain
-// acquire/release pairs and no CAS loops.
+// The pool runtime (runtime/pool_transport.hpp) connects every ordered
+// pair of workers with one of these, plus one controller->worker
+// control ring per worker, so a ring is exactly one producer thread and
+// one consumer thread — the only shape that admits a wait-free ring
+// with plain acquire/release pairs and no CAS loops.
 //
 // Layout follows the classic Lamport ring with two refinements:
 //

@@ -1,12 +1,14 @@
-// Unit tests: the membership oracle — eventual agreement in stable
-// components, non-atomic delivery, view suppression under churn, views
-// on crash/recovery, injected (inaccurate) views.
+// Unit tests: the view-announcement rule (ViewAnnouncer) and the
+// membership oracle — eventual agreement in stable components,
+// non-atomic delivery, view suppression under churn, views on
+// crash/recovery, injected (inaccurate) views.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
 #include "membership/membership_oracle.hpp"
+#include "membership/view_announcer.hpp"
 #include "sim/node.hpp"
 #include "sim/simulator.hpp"
 
@@ -142,6 +144,51 @@ TEST_F(MembershipTest, ViewIdsGloballyUnique) {
       seen.emplace_back(v.id, v.members);
     }
   }
+}
+
+// The rule both the oracle and the runtime fleet announce views by.
+TEST(ViewAnnouncer, AnnouncesOnlyChangedComponentsInSmallestMemberOrder) {
+  ViewAnnouncer announcer;
+  std::vector<View> announced;
+  const auto collect = [&announced](const View& view) {
+    announced.push_back(view);
+  };
+
+  // First topology: every component is new. Ids follow the order of
+  // the components, which live_components() sorts by smallest member.
+  announcer.announce_changed(
+      {ProcessSet::of({0, 3}), ProcessSet::of({1, 2}), ProcessSet::of({4})},
+      collect);
+  ASSERT_EQ(announced.size(), 3u);
+  EXPECT_EQ(announced[0], (View{ViewId(1), ProcessSet::of({0, 3})}));
+  EXPECT_EQ(announced[1], (View{ViewId(2), ProcessSet::of({1, 2})}));
+  EXPECT_EQ(announced[2], (View{ViewId(3), ProcessSet::of({4})}));
+  EXPECT_EQ(announcer.latest(ProcessId(3))->id, ViewId(1));
+
+  // Only {1,2} and {4} merge: the untouched {0,3} gets no view, the
+  // changed component the next id.
+  announced.clear();
+  announcer.announce_changed(
+      {ProcessSet::of({0, 3}), ProcessSet::of({1, 2, 4})}, collect);
+  ASSERT_EQ(announced.size(), 1u);
+  EXPECT_EQ(announced[0], (View{ViewId(4), ProcessSet::of({1, 2, 4})}));
+  EXPECT_EQ(announcer.latest(ProcessId(0))->id, ViewId(1));
+  EXPECT_EQ(announcer.latest(ProcessId(4))->id, ViewId(4));
+
+  // The same topology again changes nothing.
+  announced.clear();
+  announcer.announce_changed(
+      {ProcessSet::of({0, 3}), ProcessSet::of({1, 2, 4})}, collect);
+  EXPECT_TRUE(announced.empty());
+
+  // A component that shrank (3 crashed) changes for its survivors.
+  announcer.announce_changed(
+      {ProcessSet::of({0}), ProcessSet::of({1, 2, 4})}, collect);
+  ASSERT_EQ(announced.size(), 1u);
+  EXPECT_EQ(announced[0], (View{ViewId(5), ProcessSet::of({0})}));
+  EXPECT_EQ(announcer.latest(ProcessId(3))->id, ViewId(1));  // kept
+  EXPECT_EQ(announcer.latest(ProcessId(7)), nullptr);
+  EXPECT_EQ(announcer.views_announced(), 5u);
 }
 
 }  // namespace

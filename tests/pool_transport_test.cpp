@@ -1,10 +1,10 @@
-// Tests for the M:N pool backend (src/runtime/pool_transport.*): worker
+// Tests for the M:N pool runtime (src/runtime/pool_transport.*): worker
 // clamping, primary formation and fault verbs through RuntimeFleet, the
 // determinism contract (byte-identical outcome transcripts at ANY
-// worker count, equal to the thread backend and the DES oracle), the
-// same-worker fast path vs cross-worker handoff split visible in the
-// probe lanes, and a churn stress meant for the TSan pass
-// (tools/run_experiments.sh wires the Runtime* prefixes in).
+// worker count, equal to the DES oracle), the same-worker fast path vs
+// cross-worker handoff split visible in the probe lanes, and a churn
+// stress meant for the TSan pass (tools/run_experiments.sh wires the
+// Runtime* prefixes in).
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -30,7 +30,6 @@ FleetOptions pool_options(std::uint32_t n, std::uint32_t workers,
   FleetOptions options;
   options.kind = ProtocolKind::kOptimized;
   options.n = n;
-  options.backend = RuntimeBackend::kPool;
   options.workers = workers;
   options.runtime.probes = probes;
   return options;
@@ -73,9 +72,10 @@ TEST(RuntimePool, FormsOnePrimaryOnStartAndSurvivesVerbs) {
 
 // ---------------------------------------------------------- determinism
 
-// The tentpole contract, at worker counts the default cross-check does
-// not visit: odd W, W=1 (everything on the fast path), and W=n (every
-// message a cross-worker handoff) all reproduce the DES transcript.
+// The determinism contract at W=3, an uneven shard the default
+// cross-check (W ∈ {1, 2, 4, n}) does not visit, beside W=1
+// (everything on the fast path) and W=n (every message between two
+// processes a cross-worker handoff): all reproduce the DES transcript.
 TEST(RuntimePool, ByteIdenticalDigestsAtAnyWorkerCount) {
   for (std::uint64_t seed = 1; seed <= 2; ++seed) {
     const CrossCheckResult result =
@@ -89,23 +89,6 @@ TEST(RuntimePool, ByteIdenticalDigestsAtAnyWorkerCount) {
     for (const PoolCheck& check : result.pool) {
       EXPECT_EQ(check.digest, result.sim_digest)
           << "seed " << seed << " W=" << check.workers;
-    }
-  }
-}
-
-// Probe instrumentation must not perturb pool scheduling decisions:
-// probes on or off, every worker count lands on the same digest.
-TEST(RuntimePool, ProbesAreDigestNeutral) {
-  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
-    const CrossCheckResult off = run_scenario(
-        ProtocolKind::kOptimized, 4, seed, 10, /*probes=*/false, {1, 2});
-    const CrossCheckResult on = run_scenario(
-        ProtocolKind::kOptimized, 4, seed, 10, /*probes=*/true, {1, 2});
-    EXPECT_TRUE(on.digests_equal) << "seed " << seed;
-    ASSERT_EQ(on.pool.size(), off.pool.size());
-    for (std::size_t i = 0; i < on.pool.size(); ++i) {
-      EXPECT_EQ(on.pool[i].digest, off.pool[i].digest)
-          << "seed " << seed << " W=" << on.pool[i].workers;
     }
   }
 }

@@ -1,12 +1,12 @@
-// Tests for the wall-clock probe layer of the thread runtime
+// Tests for the wall-clock probe layer of the pool runtime
 // (src/obs/runtime_probe.*): the single-writer ring, the phase
 // attribution of reconfiguration windows, the JSON document and its
 // Chrome export, the per-lane metric aggregation, and the integration
-// through RuntimeFleet — including the digest-neutrality contract
-// (probes on or off, the protocol outcome is byte-identical) and the
-// eventcount wakeup stress meant to run under TSan
-// (tools/run_experiments.sh wires the Runtime* prefixes into its TSan
-// pass).
+// through RuntimeFleet — including the eventcount wakeup stress meant
+// to run under TSan (tools/run_experiments.sh wires the Runtime*
+// prefixes into its TSan pass). The digest-neutrality contract (probes
+// on or off, the protocol outcome is byte-identical) is asserted by
+// RuntimeCrossCheck.DigestsMatchOnEightSeeds.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include "obs/runtime_probe.hpp"
-#include "runtime/crosscheck.hpp"
 #include "runtime/eventcount.hpp"
 #include "runtime/fleet.hpp"
 #include "util/ensure.hpp"
@@ -40,7 +39,7 @@ TEST(RuntimeProbe, RingRoundsCapacityUpToPowerOfTwo) {
 TEST(RuntimeProbe, RingOverwritesOldestFirstAndCountsDrops) {
   ProbeRing ring(16);
   for (std::uint64_t i = 0; i < 40; ++i) {
-    ring.record(ProbeKind::kLinkPush, /*t_ns=*/i, /*value=*/i * 10,
+    ring.record(ProbeKind::kHandoff, /*t_ns=*/i, /*value=*/i * 10,
                 /*link=*/static_cast<std::uint16_t>(i & 0xF), /*eid=*/i);
   }
   EXPECT_EQ(ring.recorded(), 40u);
@@ -57,7 +56,7 @@ TEST(RuntimeProbe, RingOverwritesOldestFirstAndCountsDrops) {
 
 TEST(RuntimeProbe, KindStringsRoundTrip) {
   for (const ProbeKind kind :
-       {ProbeKind::kLinkPush, ProbeKind::kLinkPushFailed, ProbeKind::kLinkPop,
+       {ProbeKind::kLinkPushFailed, ProbeKind::kLinkPop,
         ProbeKind::kControlPush, ProbeKind::kControlPop, ProbeKind::kParked,
         ProbeKind::kTimerSlop, ProbeKind::kWakeup, ProbeKind::kTimerSchedule,
         ProbeKind::kTimerFire, ProbeKind::kHandlerMessage,
@@ -145,7 +144,7 @@ RuntimeProbeDoc sample_doc() {
   lane0.thread = 0;
   lane0.dropped = 3;
   lane0.entries = {
-      entry(ProbeKind::kLinkPush, 100, 2),
+      entry(ProbeKind::kHandoff, 100, 2),
       entry(ProbeKind::kLinkPushFailed, 150, 900),
       entry(ProbeKind::kHandlerMessage, 1200, 400),
       entry(ProbeKind::kParked, 1600, 2000),
@@ -167,7 +166,7 @@ RuntimeProbeDoc sample_doc() {
   window.phases = attribute_window(lane0.entries, 100, 4000);
 
   RuntimeProbeDoc doc;
-  doc.meta = {"dv-optimized", 4, 1024};
+  doc.meta = {"dv-optimized", 4, 1024, /*workers=*/1};
   doc.threads = {lane0, ctl};
   doc.reconfigs = {window};
   return doc;
@@ -185,6 +184,7 @@ TEST(RuntimeProbe, ProbeDocumentJsonRoundTrips) {
   EXPECT_EQ(loaded.meta.protocol, doc.meta.protocol);
   EXPECT_EQ(loaded.meta.n, doc.meta.n);
   EXPECT_EQ(loaded.meta.wheel_tick_us, doc.meta.wheel_tick_us);
+  EXPECT_EQ(loaded.meta.workers, doc.meta.workers);
   ASSERT_EQ(loaded.threads.size(), doc.threads.size());
   for (std::size_t i = 0; i < doc.threads.size(); ++i) {
     EXPECT_EQ(loaded.threads[i].thread, doc.threads[i].thread);
@@ -246,7 +246,7 @@ TEST(RuntimeProbe, AggregatesPerLaneMetricsIntoHub) {
   MetricsHub hub(doc.threads.size());
   aggregate_probe_metrics(doc.threads, hub);
   MetricsRegistry& lane0 = hub.group(0);
-  EXPECT_EQ(lane0.counter_value("rt.probe.push"), 1u);
+  EXPECT_EQ(lane0.counter_value("rt.probe.handoffs"), 1u);
   EXPECT_EQ(lane0.counter_value("rt.probe.push_failed"), 1u);
   EXPECT_EQ(lane0.counter_value("rt.probe.parks"), 1u);
   EXPECT_EQ(lane0.counter_value("rt.probe.wakeups"), 1u);
@@ -257,7 +257,7 @@ TEST(RuntimeProbe, AggregatesPerLaneMetricsIntoHub) {
   MetricsRegistry& ctl = hub.group(1);
   EXPECT_EQ(ctl.counter_value("rt.probe.control_push"), 1u);
   // Rollup across lanes works unchanged on probe instruments.
-  EXPECT_EQ(hub.rollup().counter_value("rt.probe.push"), 1u);
+  EXPECT_EQ(hub.rollup().counter_value("rt.probe.handoffs"), 1u);
 }
 
 // Exported histograms carry the explicit unit metadata (telemetry
@@ -277,12 +277,20 @@ TEST(RuntimeProbe, ExportedHistogramsCarryUnitMetadata) {
 
 // ------------------------------------------------------------ integration
 
+// At W = n every process has its own worker lane (lane i runs process
+// i), so every message between two processes is a cross-worker handoff:
+// the sender's lane records the push, the receiver's lane the pop and
+// the handler.
 TEST(RuntimeProbe, FleetProbeLogsCaptureChurn) {
   FleetOptions options;
   options.kind = ProtocolKind::kOptimized;
   options.n = 4;
+  options.workers = 4;
   options.runtime.probes = true;
   RuntimeFleet fleet(options);
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(fleet.transport().lane_of(ProcessId(i)), i);
+  }
   fleet.start();
   ProcessSet left;
   ProcessSet right;
@@ -293,21 +301,21 @@ TEST(RuntimeProbe, FleetProbeLogsCaptureChurn) {
   const std::vector<ThreadProbeLog> logs = fleet.probe_logs();
   fleet.stop();
 
-  ASSERT_EQ(logs.size(), 5u);  // 4 process lanes + controller
+  ASSERT_EQ(logs.size(), 5u);  // 4 worker lanes + controller
   EXPECT_EQ(logs.back().thread, kControllerLane);
-  std::uint64_t pushes = 0;
+  std::uint64_t handoffs = 0;
   std::uint64_t pops = 0;
   std::uint64_t handlers = 0;
   bool saw_eid = false;
   for (const ThreadProbeLog& lane : logs) {
     for (const ProbeEntry& e : lane.entries) {
-      pushes += e.kind == ProbeKind::kLinkPush ? 1 : 0;
+      handoffs += e.kind == ProbeKind::kHandoff ? 1 : 0;
       pops += e.kind == ProbeKind::kLinkPop ? 1 : 0;
       handlers += e.kind == ProbeKind::kHandlerMessage ? 1 : 0;
       saw_eid |= e.eid != 0;
     }
   }
-  EXPECT_GT(pushes, 0u);
+  EXPECT_GT(handoffs, 0u);
   EXPECT_GT(pops, 0u);
   EXPECT_GT(handlers, 0u);
   EXPECT_TRUE(saw_eid);  // entries join back into the causal trace
@@ -316,23 +324,11 @@ TEST(RuntimeProbe, FleetProbeLogsCaptureChurn) {
 TEST(RuntimeProbe, FleetWithoutProbesReturnsNoLogs) {
   FleetOptions options;
   options.n = 3;
+  options.workers = 3;
   RuntimeFleet fleet(options);
   fleet.start();
   EXPECT_TRUE(fleet.probe_logs().empty());
   fleet.stop();
-}
-
-// The digest-neutrality contract: the probed runtime makes exactly the
-// protocol decisions the unprobed one (and the DES) makes.
-TEST(RuntimeProbe, ProbesAreDigestNeutral) {
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    const runtime::CrossCheckResult off =
-        runtime::run_scenario(ProtocolKind::kOptimized, 4, seed);
-    const runtime::CrossCheckResult on = runtime::run_scenario(
-        ProtocolKind::kOptimized, 4, seed, 10, /*probes=*/true);
-    EXPECT_TRUE(on.digests_equal) << "seed " << seed;
-    EXPECT_EQ(on.runtime_digest, off.runtime_digest) << "seed " << seed;
-  }
 }
 
 // ---------------------------------------------------------- eventcount
@@ -347,6 +343,7 @@ TEST(RuntimeEventcount, ChurnHasNoLostWakeupsAndBoundedLatency) {
   FleetOptions options;
   options.kind = ProtocolKind::kOptimized;
   options.n = 4;
+  options.workers = 4;
   options.runtime.probes = true;
   RuntimeFleet fleet(options);
   fleet.start();

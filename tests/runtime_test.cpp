@@ -1,9 +1,9 @@
-// Tests for the real-thread runtime backend (src/runtime/): the SPSC
-// ring and timer wheel in isolation (including cross-thread stress cases
-// meant to run under TSan — tools/run_experiments.sh wires the Runtime*
-// prefixes into its TSan pass), the fleet lifecycle, and the
-// DES-as-oracle cross-check that pins both backends to identical
-// outcome digests seed by seed.
+// Tests for the wall-clock runtime (src/runtime/): the SPSC ring and
+// timer wheel in isolation (including cross-thread stress cases meant to
+// run under TSan — tools/run_experiments.sh wires the Runtime* prefixes
+// into its TSan pass), the fleet lifecycle with one worker per process,
+// and the DES-as-oracle cross-check that pins the pool at every worker
+// count to the simulator's outcome digests seed by seed.
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -16,7 +16,6 @@
 #include "runtime/crosscheck.hpp"
 #include "runtime/fleet.hpp"
 #include "runtime/spsc_queue.hpp"
-#include "runtime/thread_transport.hpp"
 #include "runtime/timer_wheel.hpp"
 #include "util/rng.hpp"
 
@@ -76,7 +75,7 @@ TEST(RuntimeSpsc, FullRingRejectsWithoutConsumingTheValue) {
   EXPECT_EQ(retained, nullptr);
 }
 
-// The cross-thread contract, exactly as the transport uses it: one
+// The cross-thread contract, exactly as the pool uses it: one
 // producer spinning on a small ring, one consumer draining. Run under
 // TSan this exercises the acquire/release protocol; in any build the
 // checksum catches lost, duplicated or reordered items.
@@ -150,10 +149,10 @@ TEST(RuntimeSpsc, PopBulkKeepsFifoAcrossWrapsAndRespectsMax) {
   EXPECT_FALSE(queue.empty());
 }
 
-// Cross-thread bulk drain, as both transports use it: the consumer pulls
-// whole bursts while the producer spins on a tiny ring. Under TSan this
-// exercises pop_bulk's single cursor publish; in any build the sequence
-// check catches lost, duplicated or reordered items.
+// Cross-thread bulk drain, as the pool's inbound rings use it: the
+// consumer pulls whole bursts while the producer spins on a tiny ring.
+// Under TSan this exercises pop_bulk's single cursor publish; in any
+// build the sequence check catches lost, duplicated or reordered items.
 TEST(RuntimeSpsc, PopBulkTwoThreadStressKeepsOrderAndCount) {
   constexpr std::uint64_t kItems = 100000;
   SpscQueue<std::uint64_t> queue(8);
@@ -295,6 +294,7 @@ TEST(RuntimeFleet, FormsOnePrimaryOnStart) {
   FleetOptions options;
   options.kind = ProtocolKind::kOptimized;
   options.n = 5;
+  options.workers = 5;
   RuntimeFleet fleet(options);
   fleet.start();
   const auto probes = fleet.probe();
@@ -312,6 +312,7 @@ TEST(RuntimeFleet, MajoritySideKeepsPrimaryThroughPartition) {
   FleetOptions options;
   options.kind = ProtocolKind::kBasic;
   options.n = 5;
+  options.workers = 5;
   RuntimeFleet fleet(options);
   fleet.start();
 
@@ -341,6 +342,7 @@ TEST(RuntimeFleet, CrashRecoverChurnPreservesC1) {
   FleetOptions options;
   options.kind = ProtocolKind::kOptimized;
   options.n = 4;
+  options.workers = 4;
   RuntimeFleet fleet(options);
   fleet.start();
   for (int round = 0; round < 3; ++round) {
@@ -364,6 +366,7 @@ TEST(RuntimeFleet, CrashRecoverChurnPreservesC1) {
 TEST(RuntimeFleet, StopIsIdempotentAndSummariesAreStable) {
   FleetOptions options;
   options.n = 3;
+  options.workers = 3;
   RuntimeFleet fleet(options);
   fleet.start();
   fleet.stop();
@@ -375,29 +378,32 @@ TEST(RuntimeFleet, StopIsIdempotentAndSummariesAreStable) {
 
 // -------------------------------------------------------------- cross-check
 
-// The tentpole acceptance gate: the same seeded scenario, run through
-// the DES, through one thread per process, and through the M:N pool at
-// every requested worker count, must produce identical outcome
-// transcripts (views installed, sessions formed with numbers / members
-// / rounds, final states) — on every one of eight seeds, for both
-// paper protocols.
+// The acceptance gate: the same seeded scenario, run through the DES
+// and through the pool at W ∈ {1, 2, 4, n} (from one shared worker to
+// one worker per process), must produce identical outcome transcripts
+// (views installed, sessions formed with numbers / members / rounds,
+// final states) — on every one of eight seeds, for both paper
+// protocols, with probe rings off and on.
 TEST(RuntimeCrossCheck, DigestsMatchOnEightSeeds) {
   for (const ProtocolKind kind :
        {ProtocolKind::kBasic, ProtocolKind::kOptimized}) {
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-      const CrossCheckResult result = run_scenario(kind, /*n=*/5, seed);
-      EXPECT_TRUE(result.digests_equal)
-          << to_string(kind) << " seed " << seed << "\n--- DES ---\n"
-          << result.sim_summary << "--- runtime ---\n"
-          << result.runtime_summary << "--- pool (divergent) ---\n"
-          << result.pool_divergent_summary;
-      EXPECT_TRUE(result.c1_clean) << to_string(kind) << " seed " << seed;
-      // The default harness runs the pool at W ∈ {1, 2, 4}; every run
-      // must land on the DES digest exactly.
-      ASSERT_EQ(result.pool.size(), 3u);
-      for (const PoolCheck& check : result.pool) {
-        EXPECT_EQ(check.digest, result.sim_digest)
-            << to_string(kind) << " seed " << seed << " W=" << check.workers;
+      for (const bool probes : {false, true}) {
+        const CrossCheckResult result =
+            run_scenario(kind, /*n=*/5, seed, /*steps=*/10, probes);
+        EXPECT_TRUE(result.digests_equal)
+            << to_string(kind) << " seed " << seed << " probes " << probes
+            << "\n--- DES ---\n"
+            << result.sim_summary << "--- pool (divergent) ---\n"
+            << result.pool_divergent_summary;
+        EXPECT_TRUE(result.c1_clean) << to_string(kind) << " seed " << seed;
+        // Every run must land on the DES digest exactly.
+        ASSERT_EQ(result.pool.size(), 4u);
+        for (const PoolCheck& check : result.pool) {
+          EXPECT_EQ(check.digest, result.sim_digest)
+              << to_string(kind) << " seed " << seed << " probes " << probes
+              << " W=" << check.workers;
+        }
       }
     }
   }

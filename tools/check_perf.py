@@ -13,7 +13,11 @@ the freshly generated one in lockstep:
     ("wall", "ms", "time", "per_sec", "speedup", "ns", "cpu", "rate")
     are allowed to drift: a run only fails when it is more than
     --tolerance slower than baseline (improvements always pass and are
-    reported);
+    reported). Times are lower-is-better: a time fails above
+    baseline * (1 + tolerance). Rates ("per_sec", "speedup", a "rate"
+    word) are higher-is-better: a rate fails below
+    baseline / (1 + tolerance), the same slowdown factor, and is
+    reported as an improvement above baseline * (1 + tolerance);
   * every other leaf — counts, availability fractions, violation tallies,
     protocol names, determinism flags — must match exactly: benches are
     seeded and deterministic, so any drift there is a behavior change,
@@ -68,6 +72,10 @@ from pathlib import Path
 TIMING_MARKERS = ("wall", "_ms", "ms_", "_us", "us_", "_ns", "ns_", "time",
                   "per_sec", "speedup", "cpu", "rate", "iterations")
 
+# Timing keys that measure a rate, where higher is better. "rate" counts
+# only as a whole "_"-separated word, so "views_generated" is no rate.
+RATE_MARKERS = ("per_sec", "speedup")
+
 # Baseline-only annotation written by --update / auto-record; never
 # emitted by the benches themselves, so it is stripped before comparing.
 FINGERPRINT_KEY = "host_fingerprint"
@@ -115,6 +123,12 @@ def is_timing_key(key: str) -> bool:
     return any(marker in lowered for marker in TIMING_MARKERS)
 
 
+def is_rate_key(key: str) -> bool:
+    lowered = key.lower()
+    return (any(marker in lowered for marker in RATE_MARKERS)
+            or "rate" in lowered.split("_"))
+
+
 class Report:
     def __init__(self) -> None:
         self.regressions: list[str] = []
@@ -127,7 +141,8 @@ class Report:
 
 
 def compare(baseline, current, path: str, timing: bool, tolerance: float,
-            report: Report, skip_timing: bool = False) -> None:
+            report: Report, skip_timing: bool = False,
+            higher_better: bool = False) -> None:
     if type(baseline) is not type(current) and not (
             isinstance(baseline, (int, float))
             and isinstance(current, (int, float))):
@@ -166,7 +181,7 @@ def compare(baseline, current, path: str, timing: bool, tolerance: float,
                 continue
             compare(baseline[key], current[key], f"{path}.{key}",
                     timing or is_timing_key(key), tolerance, report,
-                    skip_timing)
+                    skip_timing, higher_better or is_rate_key(key))
         for key in current:
             if key not in baseline and key not in SKIP_KEYS:
                 report.mismatches.append(
@@ -180,7 +195,7 @@ def compare(baseline, current, path: str, timing: bool, tolerance: float,
             return
         for i, (b, c) in enumerate(zip(baseline, current)):
             compare(b, c, f"{path}[{i}]", timing, tolerance, report,
-                    skip_timing)
+                    skip_timing, higher_better)
         return
     if isinstance(baseline, bool) or isinstance(current, bool):
         if baseline != current:
@@ -193,15 +208,25 @@ def compare(baseline, current, path: str, timing: bool, tolerance: float,
                 # wall-clock is not comparable. Budget gates (handled at
                 # the dict level) are the only timing contract here.
                 return
-            if baseline > 0 and current > baseline * (1.0 + tolerance):
+            if baseline <= 0:
+                return
+            change = f"{path}: {baseline:g} -> {current:g}"
+            if higher_better:
+                if current < baseline / (1.0 + tolerance):
+                    report.regressions.append(
+                        f"{change} (-{(1 - current / baseline) * 100:.0f}%, "
+                        f"band /{1 + tolerance:g})")
+                elif current > baseline * (1.0 + tolerance):
+                    report.improvements.append(
+                        f"{change} (+{(current / baseline - 1) * 100:.0f}%, "
+                        f"higher is better)")
+            elif current > baseline * (1.0 + tolerance):
                 report.regressions.append(
-                    f"{path}: {baseline:g} -> {current:g} "
-                    f"(+{(current / baseline - 1) * 100:.0f}%, "
+                    f"{change} (+{(current / baseline - 1) * 100:.0f}%, "
                     f"band +{tolerance * 100:.0f}%)")
-            elif baseline > 0 and current < baseline * (1.0 - tolerance):
+            elif current < baseline * (1.0 - tolerance):
                 report.improvements.append(
-                    f"{path}: {baseline:g} -> {current:g} "
-                    f"({(1 - current / baseline) * 100:.0f}% faster)")
+                    f"{change} ({(1 - current / baseline) * 100:.0f}% faster)")
             return
         if baseline != current:
             scale = max(abs(baseline), abs(current), 1.0)
