@@ -99,8 +99,10 @@ void BM_LearningAndResolutionPass(benchmark::State& state) {
   Rng rng(8);
 
   sim::Simulator sim;
-  auto protocol = std::make_unique<LearningBenchProtocol>(
-      sim, ProcessId(0), DvConfig{core, 1, false, true, 0});
+  DvConfig config;  // Min_Quorum 1, static participants, no record limit
+  config.core = core;
+  auto protocol =
+      std::make_unique<LearningBenchProtocol>(sim, ProcessId(0), config);
   auto* bench_protocol = protocol.get();
   sim.add_node(std::move(protocol));
 

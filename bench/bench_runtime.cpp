@@ -39,10 +39,13 @@
 //       re-form on every verb (alternating aligned / shifted-by-16
 //       carves). Reports reconfiguration p50/p99 and formed-quorums/sec.
 //
-// The paper's claim C5 in real time: [17]-style three-phase recovery
-// needs 5 communication rounds per formation where the paper's
-// protocols need 2, so its reconfiguration latency must be higher at
-// every width — the bench asserts p50(optimized) < p50(three_phase).
+// The paper's claim C5: [17]-style three-phase recovery needs 5
+// communication rounds per formation where the paper's protocols need 2.
+// The bench asserts it from the rounds each formation reports (every
+// optimized formation used fewer rounds than every three-phase one, and
+// every cell formed), and reports the wall-clock consequence as
+// c5_speedup = p50(three_phase) / p50(optimized), measured with the two
+// protocols' cells interleaved width by width.
 //
 // DYNVOTE_RUNTIME_QUICK=1 shrinks widths and iterations for sanitizer
 // runs (tools/run_experiments.sh); wall-clock keys in the JSON carry
@@ -54,6 +57,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -67,15 +71,34 @@
 namespace dynvote::runtime {
 namespace {
 
+/// Formations counted in one run and the range of communication rounds
+/// they used (min is INT_MAX while nothing formed).
+struct RoundCounts {
+  std::uint64_t formations = 0;
+  int min = std::numeric_limits<int>::max();
+  int max = 0;
+};
+
 /// Records each process's latest formation time (transport microseconds)
-/// on its worker; the fleet's quiesce barrier publishes the slots back to
-/// the bench thread.
+/// and the communication rounds of its formations, on its worker; the
+/// fleet's quiesce barrier publishes the slots back to the bench thread.
 class FormationClock : public ProtocolObserver {
  public:
-  explicit FormationClock(std::size_t n) : formed_at_(n) {}
+  explicit FormationClock(std::size_t n) : slots_(n) {}
 
-  void on_formed(SimTime time, ProcessId p, const Session&, int) override {
-    formed_at_[p.value()].store(time, std::memory_order_relaxed);
+  void on_formed(SimTime time, ProcessId p, const Session&,
+                 int rounds) override {
+    // Each slot has one writer, p's worker: plain load-then-store.
+    Slot& slot = slots_[p.value()];
+    slot.formed_at.store(time, std::memory_order_relaxed);
+    slot.formations.store(slot.formations.load(std::memory_order_relaxed) + 1,
+                          std::memory_order_relaxed);
+    slot.min_rounds.store(
+        std::min(slot.min_rounds.load(std::memory_order_relaxed), rounds),
+        std::memory_order_relaxed);
+    slot.max_rounds.store(
+        std::max(slot.max_rounds.load(std::memory_order_relaxed), rounds),
+        std::memory_order_relaxed);
   }
 
   /// Latest formation among `members`, or 0 if someone never formed
@@ -85,7 +108,7 @@ class FormationClock : public ProtocolObserver {
     std::uint64_t latest = 0;
     for (ProcessId p : members) {
       const std::uint64_t at =
-          formed_at_[p.value()].load(std::memory_order_relaxed);
+          slots_[p.value()].formed_at.load(std::memory_order_relaxed);
       if (at < t0) return 0;
       latest = std::max(latest, at);
     }
@@ -100,7 +123,7 @@ class FormationClock : public ProtocolObserver {
     std::uint64_t latest = 0;
     for (ProcessId p : members) {
       const std::uint64_t at =
-          formed_at_[p.value()].load(std::memory_order_relaxed);
+          slots_[p.value()].formed_at.load(std::memory_order_relaxed);
       if (at >= latest) {
         latest = at;
         critical = p.value();
@@ -109,8 +132,28 @@ class FormationClock : public ProtocolObserver {
     return critical;
   }
 
+  /// Every formation seen so far, by any process, and the range of
+  /// rounds they used.
+  [[nodiscard]] RoundCounts rounds() const {
+    RoundCounts out;
+    for (const Slot& slot : slots_) {
+      out.formations += slot.formations.load(std::memory_order_relaxed);
+      out.min =
+          std::min(out.min, slot.min_rounds.load(std::memory_order_relaxed));
+      out.max =
+          std::max(out.max, slot.max_rounds.load(std::memory_order_relaxed));
+    }
+    return out;
+  }
+
  private:
-  std::vector<std::atomic<std::uint64_t>> formed_at_;
+  struct Slot {
+    std::atomic<std::uint64_t> formed_at{0};
+    std::atomic<std::uint64_t> formations{0};
+    std::atomic<int> min_rounds{std::numeric_limits<int>::max()};
+    std::atomic<int> max_rounds{0};
+  };
+  std::vector<Slot> slots_;
 };
 
 std::uint64_t percentile(std::vector<std::uint64_t> samples, double pct) {
@@ -132,6 +175,7 @@ struct LatencyRow {
 struct MeasureOut {
   std::vector<std::uint64_t> latencies;  // one per reconfiguration, us
   std::uint64_t digest = 0;              // outcome digest after stop
+  RoundCounts rounds;                    // every formation of the run
   /// Probes-only: one attributed window per reconfiguration, and the
   /// final ring snapshot the windows were attributed on.
   std::vector<obs::ReconfigWindow> windows;
@@ -196,6 +240,7 @@ MeasureOut measure(ProtocolKind kind, std::uint32_t n, int cycles, bool probes,
   }
   fleet.stop();
   out.digest = fleet.outcome_digest();
+  out.rounds = clock.rounds();
   return out;
 }
 
@@ -477,44 +522,73 @@ int main() {
               "cycles)\n",
               cycles);
   Table table({"protocol", "n", "samples", "p50 us", "p99 us"});
-  std::vector<LatencyRow> rows;
+  // Cells run width by width, the optimized and three-phase cells of one
+  // width back to back with their order alternating, so a slow or fast
+  // spell of a shared host lands on both protocols alike. Rows are kept
+  // protocol-major.
+  std::vector<LatencyRow> rows(kinds.size() * widths.size());
   std::vector<std::uint64_t> optimized_all;
   std::vector<std::uint64_t> three_phase_all;
-  for (ProtocolKind kind : kinds) {
-    for (std::uint32_t n : widths) {
+  bool every_cell_formed = true;
+  int optimized_rounds_max = 0;
+  int three_phase_rounds_min = std::numeric_limits<int>::max();
+  for (std::size_t w = 0; w < widths.size(); ++w) {
+    std::vector<std::size_t> order = {0, 1, 2};  // indices into kinds
+    if (w % 2 == 1) std::swap(order[1], order[2]);
+    for (const std::size_t k : order) {
+      const ProtocolKind kind = kinds[k];
+      const std::uint32_t n = widths[w];
       const MeasureOut cell =
           measure(kind, n, cycles, /*probes=*/false, /*collect_windows=*/false);
       const std::vector<std::uint64_t>& samples = cell.latencies;
-      LatencyRow row;
+      LatencyRow& row = rows[k * widths.size() + w];
       row.kind = kind;
       row.n = n;
       row.samples = samples.size();
       row.p50_us = percentile(samples, 50);
       row.p99_us = percentile(samples, 99);
-      table.add_row({to_string(kind), std::to_string(n),
-                     std::to_string(row.samples), std::to_string(row.p50_us),
-                     std::to_string(row.p99_us)});
-      rows.push_back(row);
+      every_cell_formed &= cell.rounds.formations > 0;
       if (kind == ProtocolKind::kOptimized) {
         optimized_all.insert(optimized_all.end(), samples.begin(),
                              samples.end());
+        optimized_rounds_max = std::max(optimized_rounds_max, cell.rounds.max);
       } else if (kind == ProtocolKind::kThreePhaseRecovery) {
         three_phase_all.insert(three_phase_all.end(), samples.begin(),
                                samples.end());
+        three_phase_rounds_min =
+            std::min(three_phase_rounds_min, cell.rounds.min);
       }
     }
   }
+  for (const LatencyRow& row : rows) {
+    table.add_row({to_string(row.kind), std::to_string(row.n),
+                   std::to_string(row.samples), std::to_string(row.p50_us),
+                   std::to_string(row.p99_us)});
+  }
   std::printf("%s\n", table.to_string().c_str());
 
+  // C5 is decided from round counts, which are deterministic: every
+  // optimized formation must have used fewer rounds than every
+  // three-phase formation. The wall-clock speedup is reported beside it
+  // and banded by check_perf, but a shared host's scheduling cannot flip
+  // the verdict.
+  const bool c5_holds =
+      every_cell_formed && optimized_rounds_max < three_phase_rounds_min;
+  std::printf("C5 by rounds: optimized formations used at most %d rounds, "
+              "three-phase recovery at least %d%s -> %s\n",
+              optimized_rounds_max, three_phase_rounds_min,
+              every_cell_formed ? "" : " (a cell formed nothing)",
+              c5_holds ? "holds" : "VIOLATION");
   const std::uint64_t optimized_p50 = percentile(optimized_all, 50);
   const std::uint64_t three_phase_p50 = percentile(three_phase_all, 50);
-  const bool optimized_faster = optimized_p50 < three_phase_p50;
+  const double c5_speedup =
+      optimized_p50 == 0 ? 0.0
+                         : static_cast<double>(three_phase_p50) /
+                               static_cast<double>(optimized_p50);
   std::printf("C5 in wall-clock: optimized p50 %llu us vs three-phase "
-              "recovery p50 %llu us -> %s\n",
+              "recovery p50 %llu us (speedup %.2fx)\n",
               static_cast<unsigned long long>(optimized_p50),
-              static_cast<unsigned long long>(three_phase_p50),
-              optimized_faster ? "2-round protocol is faster"
-                               : "VIOLATION: 5-round protocol won");
+              static_cast<unsigned long long>(three_phase_p50), c5_speedup);
 
   // ---- phase 2: where the reconfiguration microseconds go ------------
   const std::uint32_t phase_n = quick ? 4 : 8;
@@ -568,7 +642,7 @@ int main() {
   obs::RuntimeProbeMeta meta;
   meta.protocol = to_string(ProtocolKind::kOptimized);
   meta.n = phase_n;
-  meta.wheel_tick_us = RuntimeOptions{}.wheel_tick_us;
+  meta.wheel_tick_us = kWheelTickUs;
   meta.workers = phase_n;
   const std::string probes_path = write_json_file(
       "runtime_probes.json",
@@ -674,7 +748,11 @@ int main() {
   comparison.set("three_phase_p50_us", JsonValue(three_phase_p50));
   comparison.set("three_phase_p50_us_budget",
                  JsonValue(std::uint64_t{10000000}));
-  comparison.set("optimized_faster", JsonValue(optimized_faster));
+  comparison.set("c5_speedup", JsonValue(c5_speedup));
+  comparison.set("optimized_rounds_max",
+                 JsonValue(static_cast<std::int64_t>(optimized_rounds_max)));
+  comparison.set("three_phase_rounds_min",
+                 JsonValue(static_cast<std::int64_t>(three_phase_rounds_min)));
   result.set("comparison", std::move(comparison));
 
   JsonValue scaling = JsonValue::object();
@@ -707,5 +785,5 @@ int main() {
   result.set("scaling", std::move(scaling));
   emit_bench_result("runtime", result);
 
-  return optimized_faster && phases_ok && overhead_ok ? 0 : 1;
+  return c5_holds && phases_ok && overhead_ok ? 0 : 1;
 }

@@ -24,15 +24,17 @@
 namespace dynvote {
 namespace {
 
-/// Observer reconstructing the paper's per-process Form/Attempt table.
-class SessionTableObserver final : public ProtocolObserver {
+/// Trace subscriber reconstructing the paper's per-process Form/Attempt
+/// table.
+class SessionTable {
  public:
-  void on_attempt(SimTime, ProcessId p, const Session& session) override {
-    auto& cell = cells_[session][p];
-    if (cell.empty()) cell = "Attempt";
-  }
-  void on_formed(SimTime, ProcessId p, const Session& session, int) override {
-    cells_[session][p] = "Form";
+  void observe(const obs::TraceEvent& event) {
+    if (event.kind == obs::TraceEventKind::kSessionAttempt) {
+      auto& cell = cells_[Session{event.members, event.number}][event.a];
+      if (cell.empty()) cell = "Attempt";
+    } else if (event.kind == obs::TraceEventKind::kSessionFormed) {
+      cells_[Session{event.members, event.number}][event.a] = "Form";
+    }
   }
 
   [[nodiscard]] Table render(std::uint32_t n) const {
@@ -63,13 +65,9 @@ JsonValue run(ProtocolKind kind) {
   options.sim.seed = 46;
   Cluster cluster(options);
 
-  SessionTableObserver table_observer;
-  MultiObserver fanout;
-  fanout.add(&cluster.checker());
-  fanout.add(&table_observer);
-  for (ProcessId p : cluster.all_processes()) {
-    cluster.protocol(p).set_observer(&fanout);
-  }
+  SessionTable table;
+  cluster.sim().trace().subscribe(
+      [&table](const obs::TraceEvent& event) { table.observe(event); });
 
   FaultInjector faults(cluster.sim().network());
   // S1: a forms; b, c detach before forming.
@@ -89,7 +87,7 @@ JsonValue run(ProtocolKind kind) {
   cluster.settle();
 
   std::printf("--- %s ---\n", to_string(kind));
-  std::printf("%s", table_observer.render(5).to_string().c_str());
+  std::printf("%s", table.render(5).to_string().c_str());
   const auto violations = cluster.checker().check_all();
   std::size_t split = 0;
   for (const auto& v : violations) split += (v.kind == "split-brain");

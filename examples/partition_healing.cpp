@@ -18,11 +18,8 @@ using namespace dynvote;
 namespace {
 
 void print_trace(Cluster& cluster, SimTime since) {
-  for (const auto& entry : cluster.trace().entries()) {
-    if (entry.time < since) continue;
-    std::printf("  [%7llu us] %s %s\n",
-                static_cast<unsigned long long>(entry.time),
-                to_string(entry.process).c_str(), entry.text.c_str());
+  for (const obs::TraceEvent& event : cluster.sim().trace().events()) {
+    if (event.time >= since) std::printf("  %s\n", obs::describe(event).c_str());
   }
 }
 

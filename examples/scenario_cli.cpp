@@ -24,7 +24,7 @@
 //   settle                     run the simulation to quiescence
 //   status                     per-process primary state
 //   check                      run the consistency checker
-//   trace [k]                  print the last k protocol events (default 12)
+//   trace [k]                  print the last k trace events (default 12)
 //
 // Configuration commands must precede `start`/the first topology command.
 #include <cstdio>
@@ -271,13 +271,10 @@ struct Repl {
     } else if (command == "trace") {
       std::size_t k = 12;
       in >> k;
-      const auto& entries = live().trace().entries();
-      const std::size_t from = entries.size() > k ? entries.size() - k : 0;
-      for (std::size_t i = from; i < entries.size(); ++i) {
-        std::printf("  [%7llu] %s %s\n",
-                    static_cast<unsigned long long>(entries[i].time),
-                    to_string(entries[i].process).c_str(),
-                    entries[i].text.c_str());
+      const auto& events = live().sim().trace().events();
+      const std::size_t from = events.size() > k ? events.size() - k : 0;
+      for (std::size_t i = from; i < events.size(); ++i) {
+        std::printf("  %s\n", obs::describe(events[i]).c_str());
       }
     } else if (command == "quit" || command == "exit") {
       return false;

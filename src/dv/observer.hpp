@@ -1,11 +1,16 @@
-// Observation interface for protocol executions.
+// Per-node observation hook for protocol executions.
 //
-// Protocols report what they do — attempts, formed primaries, rejections
-// — to an external observer. The consistency checker, the metrics
-// collector, and the availability harness are all observers; keeping
-// them outside the protocol guarantees the measurement can't influence
-// the measured (and lets the deliberately broken baselines run to
-// completion so their inconsistencies can be counted).
+// Every protocol step is recorded in the TraceSink (obs/trace.hpp), and
+// the library's consumers — the consistency checker, the dv.* metrics
+// fold, the sharded fleet's router, the flight recorder — subscribe to
+// that one stream. ProtocolObserver is the per-node hook for tools
+// outside the library that stamp each step with wall-clock time as it
+// happens (the runtime benches); a node holds at most one, installed
+// with ProtocolNode::set_observer. Nothing in the library implements or
+// fans it out. Either way the observation stays outside the protocol,
+// so the measurement can't influence the measured (and the deliberately
+// broken baselines run to completion so their inconsistencies can be
+// counted).
 #pragma once
 
 #include <string>

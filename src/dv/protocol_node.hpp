@@ -3,8 +3,10 @@
 // Both protocol shapes in the library — the symmetric phase-broadcast
 // protocols (SessionProtocolBase) and the coordinator-based centralized
 // variant — expose the same surface: Is_Primary state, the current
-// primary session, and observer/listener wiring. The harness, the
-// service facade and the applications depend only on this class.
+// primary session, and listener wiring. Every protocol step is recorded
+// in the transport's TraceSink (obs/trace.hpp), the event stream the
+// harness consumes; the service facade and the applications depend only
+// on this class.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +30,9 @@ class ProtocolNode : public sim::Node {
   /// simulator's transport.
   ProtocolNode(sim::Simulator& sim, ProcessId id) : sim::Node(sim, id) {}
 
+  /// Per-node hook for external tools that stamp protocol steps with
+  /// wall-clock time (dv/observer.hpp). The library itself consumes the
+  /// TraceSink, never this hook.
   void set_observer(ProtocolObserver* observer) noexcept {
     observer_ = observer;
   }
@@ -50,8 +55,8 @@ class ProtocolNode : public sim::Node {
   }
 
  protected:
-  /// Records entry into a freshly formed primary and notifies the
-  /// observer (with the session's communication-round count) and the
+  /// Records entry into a freshly formed primary (with the session's
+  /// communication-round count) and notifies the observer and the
   /// application listener. The trace event cites the session's attempt
   /// (or, for zero-round protocols, the view install) as its cause.
   void enter_primary(const Session& session, int rounds) {
@@ -140,8 +145,6 @@ class ProtocolNode : public sim::Node {
   [[nodiscard]] std::uint64_t current_view_eid() const noexcept {
     return view_eid_;
   }
-
-  [[nodiscard]] ProtocolObserver* observer() const noexcept { return observer_; }
 
   /// Scratch encoder for the persist path. Returned cleared; the buffer
   /// capacity persists across calls, so a protocol that re-encodes its

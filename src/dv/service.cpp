@@ -47,6 +47,10 @@ bool is_consistent_protocol(ProtocolKind kind) noexcept {
          kind != ProtocolKind::kLastAttemptOnly;
 }
 
+bool seeds_initial_primary(ProtocolKind kind) noexcept {
+  return kind != ProtocolKind::kStaticMajority;
+}
+
 std::unique_ptr<ProtocolNode> make_protocol(ProtocolKind kind,
                                             sim::Transport& transport,
                                             ProcessId id, DvConfig config) {

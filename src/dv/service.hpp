@@ -45,6 +45,11 @@ enum class ProtocolKind {
 /// components; false for the two deliberately broken baselines.
 [[nodiscard]] bool is_consistent_protocol(ProtocolKind kind) noexcept;
 
+/// True for the protocols that start from the initial primary
+/// F0 = (W0, 0), formed by every core member; false for static voting,
+/// which has no such convention. Seeds ConsistencyChecker.
+[[nodiscard]] bool seeds_initial_primary(ProtocolKind kind) noexcept;
+
 /// Constructs a protocol node of the given kind over any Transport
 /// (the simulator's or the thread runtime's). The DvConfig is
 /// interpreted by each variant as documented on its class; the static

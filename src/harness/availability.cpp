@@ -8,15 +8,10 @@
 
 namespace dynvote {
 
-AvailabilityResult run_schedule(ProtocolKind kind,
-                                const std::vector<ScheduleEvent>& schedule,
-                                ClusterOptions base) {
-  base.kind = kind;
-  Cluster cluster(std::move(base));
-  sim::Simulator& sim = cluster.sim();
-
+void schedule_faults(Cluster& cluster,
+                     const std::vector<ScheduleEvent>& schedule) {
   for (const ScheduleEvent& event : schedule) {
-    sim.queue().schedule_at(event.time, [&cluster, &event] {
+    cluster.sim().queue().schedule_at(event.time, [&cluster, &event] {
       switch (event.kind) {
         case ScheduleEvent::Kind::kPartition:
           cluster.partition(event.groups);
@@ -36,6 +31,16 @@ AvailabilityResult run_schedule(ProtocolKind kind,
       }
     });
   }
+}
+
+AvailabilityResult run_schedule(ProtocolKind kind,
+                                const std::vector<ScheduleEvent>& schedule,
+                                ClusterOptions base) {
+  base.kind = kind;
+  Cluster cluster(std::move(base));
+  sim::Simulator& sim = cluster.sim();
+
+  schedule_faults(cluster, schedule);
 
   cluster.merge();  // initial connectivity at t=0
   cluster.settle();

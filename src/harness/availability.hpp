@@ -29,6 +29,12 @@ struct AvailabilityResult {
   std::size_t max_ambiguous = 0;  // high-water ambiguous sessions (dv family)
 };
 
+/// Queues every event of `schedule` on the cluster's simulator at its
+/// time (partitions, merges, crashes, recoveries); the events fire as
+/// the run settles. `schedule` must outlive the run.
+void schedule_faults(Cluster& cluster,
+                     const std::vector<ScheduleEvent>& schedule);
+
 /// Runs `kind` against `schedule`. `base` supplies n / Min_Quorum /
 /// latency / membership options; its `kind` field is overridden.
 [[nodiscard]] AvailabilityResult run_schedule(

@@ -11,57 +11,58 @@ ConsistencyChecker::ConsistencyChecker(const ProcessSet& core,
     : core_(core), seed_initial_(seed_initial) {
   if (seed_initial_ && !core_.empty()) {
     const Session f0{core_, 0};
-    formers_[f0] = core_;
+    formed_.insert(f0);
     formed_order_.push_back(f0);
-    attempters_[f0] = core_;
     for (ProcessId p : core_) participation_[p].push_back(f0);
   }
 }
 
-void ConsistencyChecker::note_participation(ProcessId p,
-                                            const Session& session) {
-  auto& list = participation_[p];
-  if (list.empty() || !(list.back() == session)) list.push_back(session);
-}
-
-void ConsistencyChecker::on_attempt(SimTime /*time*/, ProcessId p,
-                                    const Session& session) {
-  ++attempt_events_;
-  attempters_[session].insert(p);
-  note_participation(p, session);
-}
-
-void ConsistencyChecker::on_formed(SimTime time, ProcessId p,
-                                   const Session& session, int rounds) {
-  ++form_events_;
-  rounds_.add(rounds);
-  auto [it, inserted] = formers_.try_emplace(session);
-  it->second.insert(p);
-  if (inserted) formed_order_.push_back(session);
-  note_participation(p, session);
-  // The process enters a live primary; close a dangling interval first
-  // (defensive — protocols report loss before re-forming).
-  auto open = open_interval_.find(p);
-  if (open != open_interval_.end()) {
-    intervals_[open->second].end = time;
-    open_interval_.erase(open);
+void ConsistencyChecker::note_participation(const obs::TraceEvent& event) {
+  auto& list = participation_[event.a];
+  if (list.empty() || list.back().number != event.number ||
+      list.back().members != event.members) {
+    list.push_back(Session{event.members, event.number});
   }
-  open_interval_[p] = intervals_.size();
-  intervals_.push_back(Interval{p, session, time, std::nullopt});
 }
 
-void ConsistencyChecker::on_primary_lost(SimTime time, ProcessId p) {
-  auto open = open_interval_.find(p);
-  if (open == open_interval_.end()) return;
-  intervals_[open->second].end = time;
-  open_interval_.erase(open);
-}
-
-void ConsistencyChecker::on_session_rejected(SimTime /*time*/, ProcessId /*p*/,
-                                             const View& /*view*/,
-                                             const std::string& reason) {
-  ++rejected_;
-  if (reason.rfind("blocked", 0) == 0) ++blocked_;
+void ConsistencyChecker::observe(const obs::TraceEvent& event) {
+  switch (event.kind) {
+    case obs::TraceEventKind::kSessionAttempt:
+      ++attempt_events_;
+      note_participation(event);
+      break;
+    case obs::TraceEventKind::kSessionFormed: {
+      ++form_events_;
+      rounds_.add(static_cast<int>(event.value));
+      Session session{event.members, event.number};
+      if (formed_.insert(session).second) formed_order_.push_back(session);
+      note_participation(event);
+      // The process enters a live primary; close a dangling interval
+      // first (defensive — protocols report loss before re-forming).
+      const auto [open, fresh] =
+          open_interval_.try_emplace(event.a, intervals_.size());
+      if (!fresh) {
+        intervals_[open->second].end = event.time;
+        open->second = intervals_.size();
+      }
+      intervals_.push_back(
+          Interval{event.a, std::move(session), event.time, std::nullopt});
+      break;
+    }
+    case obs::TraceEventKind::kPrimaryLost: {
+      auto open = open_interval_.find(event.a);
+      if (open == open_interval_.end()) return;
+      intervals_[open->second].end = event.time;
+      open_interval_.erase(open);
+      break;
+    }
+    case obs::TraceEventKind::kSessionAbort:
+      ++rejected_;
+      if (event.detail.starts_with("blocked")) ++blocked_;
+      break;
+    default:
+      break;  // views, topology, messages, ambiguity levels: no obligation
+  }
 }
 
 std::vector<Violation> ConsistencyChecker::check_basic() const {

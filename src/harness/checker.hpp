@@ -2,8 +2,10 @@
 //
 // The paper's correctness requirement (section 2): the transitive
 // closure of the participation order between intersecting formed primary
-// components must be a total order. The checker observes every protocol
-// event and verifies, post-hoc:
+// components must be a total order. The checker folds the protocol
+// events of the trace stream (obs/trace.hpp) — live as a TraceSink
+// subscriber, or offline from an exported trace via check_trace — through
+// its one entry point, observe(), and verifies, post-hoc:
 //
 //   V1 "split-brain"    — two different primary components, with disjoint
 //                         memberships, live at overlapping times;
@@ -21,10 +23,12 @@
 
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
-#include "dv/observer.hpp"
+#include "dv/session.hpp"
+#include "obs/trace.hpp"
 #include "util/process_set.hpp"
 #include "util/stats.hpp"
 
@@ -35,20 +39,17 @@ struct Violation {
   std::string detail;
 };
 
-class ConsistencyChecker final : public ProtocolObserver {
+class ConsistencyChecker {
  public:
   /// `core` seeds the initial primary component F0 = (W0, 0), which the
   /// dv-family protocols treat as formed by every core member. Pass
   /// seed_initial=false for protocols without that convention (static).
   explicit ConsistencyChecker(const ProcessSet& core, bool seed_initial = true);
 
-  // -- ProtocolObserver --------------------------------------------------------
-  void on_attempt(SimTime time, ProcessId p, const Session& session) override;
-  void on_formed(SimTime time, ProcessId p, const Session& session,
-                 int rounds) override;
-  void on_primary_lost(SimTime time, ProcessId p) override;
-  void on_session_rejected(SimTime time, ProcessId p, const View& view,
-                           const std::string& reason) override;
+  /// Folds one trace event. Session attempts, formations, aborts and
+  /// primary losses are the inputs; every other kind is ignored, so a
+  /// whole TraceSink stream can be fed as is.
+  void observe(const obs::TraceEvent& event);
 
   // -- verdicts -----------------------------------------------------------------
 
@@ -111,9 +112,8 @@ class ConsistencyChecker final : public ProtocolObserver {
   ProcessSet core_;
   bool seed_initial_;
 
-  std::map<Session, ProcessSet> formers_;     // formed session -> who formed it
+  std::set<Session> formed_;                 // distinct formed sessions
   std::vector<Session> formed_order_;         // insertion order, deduped
-  std::map<Session, ProcessSet> attempters_;  // attempted session -> who
   std::map<ProcessId, std::vector<Session>> participation_;  // per process
 
   std::vector<Interval> intervals_;
@@ -125,7 +125,7 @@ class ConsistencyChecker final : public ProtocolObserver {
   std::uint64_t blocked_ = 0;
   Summary rounds_;
 
-  void note_participation(ProcessId p, const Session& session);
+  void note_participation(const obs::TraceEvent& event);
 };
 
 /// Renders violations one per line (empty string if none).

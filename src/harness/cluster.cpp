@@ -18,15 +18,14 @@ Cluster::Cluster(ClusterOptions options)
     : config_(resolve_config(options)),
       options_(std::move(options)),
       sim_(options_.sim),
-      checker_(std::make_unique<ConsistencyChecker>(
-          config_.core,
-          /*seed_initial=*/options_.kind != ProtocolKind::kStaticMajority)),
-      metrics_observer_(std::make_unique<MetricsObserver>(sim_.metrics())) {
+      checker_(config_.core, seeds_initial_primary(options_.kind)),
+      metrics_(sim_.metrics()) {
   sim_.trace().set_capacity(options_.trace_capacity);
   sim_.trace().set_messages_enabled(options_.trace_messages);
-  observers_.add(checker_.get());
-  observers_.add(&trace_);
-  observers_.add(metrics_observer_.get());
+  sim_.trace().subscribe(
+      [this](const obs::TraceEvent& event) { checker_.observe(event); });
+  sim_.trace().subscribe(
+      [this](const obs::TraceEvent& event) { metrics_.observe(event); });
   for (ProcessId p : config_.core) add_process(p);
   // The oracle must subscribe after nodes exist but before any topology
   // change, so every view reaches a registered node.
@@ -92,9 +91,7 @@ void Cluster::on_topology_for_misses() {
 }
 
 void Cluster::add_process(ProcessId p) {
-  auto node = make_protocol(options_.kind, sim_.transport(), p, config_);
-  node->set_observer(&observers_);
-  sim_.add_node(std::move(node));
+  sim_.add_node(make_protocol(options_.kind, sim_.transport(), p, config_));
   process_ids_.push_back(p);
 }
 

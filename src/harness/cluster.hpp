@@ -1,7 +1,8 @@
 // Cluster: one simulated system running one protocol variant.
 //
 // Wires together the simulator, the membership oracle, one protocol node
-// per process, and the consistency checker. Scenario tests, property
+// per process, and the consistency checker and dv.* metrics fold, both
+// subscribed to the simulation's TraceSink. Scenario tests, property
 // tests, examples and benches all drive executions through this class.
 #pragma once
 
@@ -59,8 +60,7 @@ class Cluster {
 
   [[nodiscard]] sim::Simulator& sim() noexcept { return sim_; }
   [[nodiscard]] MembershipOracle& oracle() noexcept { return *oracle_; }
-  [[nodiscard]] ConsistencyChecker& checker() noexcept { return *checker_; }
-  [[nodiscard]] TraceRecorder& trace() noexcept { return trace_; }
+  [[nodiscard]] ConsistencyChecker& checker() noexcept { return checker_; }
   [[nodiscard]] const DvConfig& config() const noexcept { return config_; }
   [[nodiscard]] const ProcessSet& core() const noexcept { return config_.core; }
 
@@ -124,10 +124,8 @@ class Cluster {
   DvConfig config_;
   ClusterOptions options_;
   sim::Simulator sim_;
-  std::unique_ptr<ConsistencyChecker> checker_;
-  TraceRecorder trace_;
-  std::unique_ptr<MetricsObserver> metrics_observer_;
-  MultiObserver observers_;
+  ConsistencyChecker checker_;
+  MetricsObserver metrics_;
   std::unique_ptr<MembershipOracle> oracle_;
   std::unique_ptr<Rng> loss_rng_;
   std::vector<ProcessId> process_ids_;

@@ -1,72 +1,19 @@
-// Observer plumbing: fan-out, human-readable traces, metrics bridge.
+// The dv.* metrics fold: protocol events from the trace stream
+// (obs/trace.hpp) into a MetricsRegistry.
 #pragma once
 
 #include <set>
-#include <string>
-#include <vector>
 
-#include "dv/observer.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace dynvote {
 
-/// Forwards protocol events to any number of observers (the cluster
-/// always installs the consistency checker; benches add trace recorders
-/// or metric collectors alongside).
-class MultiObserver final : public ProtocolObserver {
- public:
-  /// Borrowed; callers keep the observers alive for the run.
-  void add(ProtocolObserver* observer);
-
-  void on_view_installed(SimTime time, ProcessId p, const View& view) override;
-  void on_attempt(SimTime time, ProcessId p, const Session& session) override;
-  void on_formed(SimTime time, ProcessId p, const Session& session,
-                 int rounds) override;
-  void on_primary_lost(SimTime time, ProcessId p) override;
-  void on_session_rejected(SimTime time, ProcessId p, const View& view,
-                           const std::string& reason) override;
-
- private:
-  std::vector<ProtocolObserver*> observers_;
-};
-
-/// Records every protocol event as a timestamped line — the narrative
-/// output of the scenario benches (experiments E1/E2) and a debugging
-/// aid everywhere else.
-class TraceRecorder final : public ProtocolObserver {
- public:
-  struct Entry {
-    SimTime time;
-    ProcessId process;
-    std::string text;
-  };
-
-  void on_view_installed(SimTime time, ProcessId p, const View& view) override;
-  void on_attempt(SimTime time, ProcessId p, const Session& session) override;
-  void on_formed(SimTime time, ProcessId p, const Session& session,
-                 int rounds) override;
-  void on_primary_lost(SimTime time, ProcessId p) override;
-  void on_session_rejected(SimTime time, ProcessId p, const View& view,
-                           const std::string& reason) override;
-
-  [[nodiscard]] const std::vector<Entry>& entries() const noexcept {
-    return entries_;
-  }
-  void clear() { entries_.clear(); }
-
-  /// Renders all entries, one per line.
-  [[nodiscard]] std::string to_string() const;
-
- private:
-  void add(SimTime time, ProcessId p, std::string text);
-
-  std::vector<Entry> entries_;
-};
-
-/// Bridges protocol events into a MetricsRegistry: session counters plus
-/// a rounds-per-formation histogram. The cluster installs one against
-/// the simulation's registry, so protocol-level counts ship in the same
-/// JSON export as the network counters.
+/// Folds protocol events into a MetricsRegistry: session counters plus
+/// a rounds-per-formation histogram. The cluster subscribes one to the
+/// simulation's TraceSink against the simulation's registry, so
+/// protocol-level counts ship in the same JSON export as the network
+/// counters.
 ///
 /// Also accumulates "dv.primary_uptime_ticks": virtual time during which
 /// at least one process was primary. An interval opens when the primary
@@ -74,17 +21,13 @@ class TraceRecorder final : public ProtocolObserver {
 /// interval still open when the run ends is not counted. The span layer
 /// (obs/spans.hpp) derives the same quantity from the trace alone with
 /// the same convention, so the two can be cross-checked exactly.
-class MetricsObserver final : public ProtocolObserver {
+class MetricsObserver {
  public:
   explicit MetricsObserver(obs::MetricsRegistry& registry);
 
-  void on_view_installed(SimTime time, ProcessId p, const View& view) override;
-  void on_attempt(SimTime time, ProcessId p, const Session& session) override;
-  void on_formed(SimTime time, ProcessId p, const Session& session,
-                 int rounds) override;
-  void on_primary_lost(SimTime time, ProcessId p) override;
-  void on_session_rejected(SimTime time, ProcessId p, const View& view,
-                           const std::string& reason) override;
+  /// Folds one trace event; kinds other than view installs, session
+  /// attempts/formations/aborts and primary losses are ignored.
+  void observe(const obs::TraceEvent& event);
 
  private:
   obs::Counter& views_;

@@ -6,8 +6,9 @@
 // participation order over formed primary components is total (paper
 // section 2) — and checks the Theorem-1 ambiguity bound
 // (n − Min_Quorum + 1) without access to the live run: a trace.json file
-// is sufficient evidence. This is the "checker trace-replay mode": the
-// same verdicts the in-process checker reaches, reproduced offline.
+// is sufficient evidence. The live checker is a TraceSink subscriber and
+// the replay feeds the same ConsistencyChecker::observe, so an
+// unbounded trace replays to exactly the live verdict.
 #pragma once
 
 #include <cstdint>
@@ -70,11 +71,12 @@ struct TraceMetaAndEvents {
   std::vector<obs::TraceEvent> events;
 };
 
-/// Feeds the protocol-level events of `trace` through a fresh
-/// ConsistencyChecker (seeded from meta.core) and evaluates the ambiguity
-/// bound in meta.ambiguity_bound. A truncated trace (meta.overwritten
-/// > 0) fails by default; pass TruncationPolicy::kWarn to accept the
-/// surviving suffix with result.truncated set.
+/// Feeds the events of `trace` through a fresh ConsistencyChecker (seeded
+/// from meta.core, with F0 unless meta.protocol is static voting) and
+/// evaluates the ambiguity bound in meta.ambiguity_bound. A truncated
+/// trace (meta.overwritten > 0) fails by default; pass
+/// TruncationPolicy::kWarn to accept the surviving suffix with
+/// result.truncated set.
 [[nodiscard]] TraceCheckResult check_trace(
     const TraceMetaAndEvents& trace,
     TruncationPolicy truncation = TruncationPolicy::kFail);

@@ -11,10 +11,11 @@
 // ring as a post-mortem with causal chains — tracing that is affordable
 // precisely because it is paid only on failure.
 //
-// The TraceSink tees every recorded event into the recorder
-// (TraceSink::set_flight_recorder); the recorder never interferes with
-// the sink's own ring or event ids, so post-mortem eids line up with
-// any full trace export of the same run.
+// The recorder is a TraceSink subscriber (the sharded fleet subscribes it
+// first, so a post-mortem dumped while a later subscriber handles an
+// event already holds that event); it never interferes with the sink's
+// own ring or event ids, so post-mortem eids line up with any full trace
+// export of the same run.
 #pragma once
 
 #include <cstddef>
@@ -45,8 +46,8 @@ class FlightRecorder {
 
   /// Routes `event` to its group's ring. Message kinds are skipped
   /// (affordability is the whole point); topology events are routed by
-  /// their first member (components never span groups). Called by
-  /// TraceSink::record for every retained event.
+  /// their first member (components never span groups). Subscribed to
+  /// a TraceSink, it sees every recorded event.
   void note(const TraceEvent& event);
 
   [[nodiscard]] std::uint32_t num_groups() const noexcept {

@@ -1,6 +1,5 @@
 #include "obs/trace.hpp"
 
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 
 namespace dynvote::obs {
@@ -145,6 +144,55 @@ TraceEvent trace_event_from_json(const JsonValue& value) {
   return event;
 }
 
+std::string describe(const TraceEvent& e) {
+  std::string out = "[" + std::to_string(e.time) + "us] #" +
+                    std::to_string(e.eid) + " " +
+                    std::string(to_string(e.kind)) + " p" +
+                    std::to_string(e.a.value());
+  switch (e.kind) {
+    case TraceEventKind::kMessageSend:
+    case TraceEventKind::kMessageDeliver:
+    case TraceEventKind::kMessageDrop:
+      out += "->p" + std::to_string(e.b.value());
+      if (e.kind == TraceEventKind::kMessageDrop) {
+        out += " (" + std::string(to_string(static_cast<DropCause>(e.value))) +
+               ")";
+      }
+      if (!e.detail.empty()) out += " " + e.detail;
+      break;
+    case TraceEventKind::kTopologyChange:
+      out = "[" + std::to_string(e.time) + "us] #" + std::to_string(e.eid) +
+            " topology " + e.members.to_string();
+      break;
+    case TraceEventKind::kViewInstalled:
+      out += " view " + std::to_string(e.number) + " " + e.members.to_string();
+      break;
+    case TraceEventKind::kSessionAttempt:
+    case TraceEventKind::kSessionFormed:
+    case TraceEventKind::kAmbiguityResolved:
+    case TraceEventKind::kAmbiguityAdopted:
+      out += " session " + std::to_string(e.number) + " " +
+             e.members.to_string();
+      if (e.kind == TraceEventKind::kSessionFormed) {
+        out += " after " + std::to_string(e.value) + " rounds";
+      }
+      if (!e.detail.empty()) out += " [" + e.detail + "]";
+      break;
+    case TraceEventKind::kSessionAbort:
+      out += " view " + std::to_string(e.number) + " " + e.members.to_string() +
+             ": " + e.detail;
+      break;
+    case TraceEventKind::kAmbiguityRecord:
+      out += " level=" + std::to_string(e.value);
+      break;
+    default:
+      break;
+  }
+  if (e.lamport != 0) out += " (L=" + std::to_string(e.lamport) + ")";
+  if (e.cause != 0) out += " <- #" + std::to_string(e.cause);
+  return out;
+}
+
 std::uint64_t TraceSink::record(TraceEvent event) {
   switch (event.kind) {
     case TraceEventKind::kMessageSend:
@@ -161,8 +209,8 @@ std::uint64_t TraceSink::record(TraceEvent event) {
   }
   event.eid = ++next_eid_;
   events_.push_back(std::move(event));
-  if (flight_ != nullptr) flight_->note(events_.back());
   update_gauges();
+  for (const Subscriber& subscriber : subscribers_) subscriber(events_.back());
   return next_eid_;
 }
 

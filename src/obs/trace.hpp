@@ -1,16 +1,18 @@
 // Structured, deterministic event tracing with causal links.
 //
-// The TraceSink is the machine-readable counterpart of the narrative
-// TraceRecorder in harness/events.hpp: instead of prose it records flat
+// The TraceSink is the one protocol event stream. It records flat
 // TraceEvent structs — message send/drop/deliver with cause, session
 // attempt/form/abort with the eligibility verdict, topology changes,
 // crashes and recoveries, ambiguous-record high-water marks, and the
-// optimized protocol's ambiguity resolutions/adoptions. The harness
-// replays these events through the consistency checker
-// (harness/trace_replay.hpp) to re-verify C1 and the Theorem-1 ambiguity
-// bound from an exported trace alone, and obs/spans.hpp folds the stream
+// optimized protocol's ambiguity resolutions/adoptions — and hands every
+// recorded event, in order, to its subscribers. The consistency checker
+// (harness/checker.hpp), the dv.* metrics fold (harness/events.hpp), the
+// sharded fleet's per-group router and the flight recorder are all
+// subscribers; check_trace (harness/trace_replay.hpp) feeds an exported
+// trace through the same checker entry point, so the live verdict and
+// the replay verdict run the same code. obs/spans.hpp folds the stream
 // into causal spans (session lifecycles, ambiguity lifetimes, primary
-// tenures).
+// tenures), and describe() renders one event as a line of prose.
 //
 // Causality: the sink assigns every recorded event a monotonically
 // increasing event id (eid, starting at 1), producers stamp each event
@@ -32,13 +34,17 @@
 // long availability sweeps exchange millions of messages. Eviction never
 // reuses ids, so causal links stay unambiguous (they may dangle — a
 // chain walk reports the truncation instead of resolving wrongly).
+// Subscribers see every recorded event, whatever the ring later evicts.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "util/ids.hpp"
 #include "util/json.hpp"
@@ -46,7 +52,6 @@
 
 namespace dynvote::obs {
 
-class FlightRecorder;
 class Gauge;
 class MetricsRegistry;
 
@@ -117,6 +122,11 @@ struct TraceEvent {
 /// field (t, k, a, e) is missing.
 [[nodiscard]] TraceEvent trace_event_from_json(const JsonValue& value);
 
+/// One line of prose for `event`: "[time] #eid kind pP ...", with the
+/// kind's fields, the Lamport clock and the causal parent. The narrative
+/// of dvtrace timeline, the examples and the determinism tests.
+[[nodiscard]] std::string describe(const TraceEvent& event);
+
 /// Run-level context exported alongside the events so a trace file is
 /// self-describing: replay needs the core set, Min_Quorum, and whether
 /// the Theorem-1 ambiguity bound applies to the traced protocol.
@@ -143,7 +153,8 @@ struct TraceMeta {
   std::uint32_t group_size = 0;
 };
 
-/// Ring buffer of TraceEvents.
+/// Ring buffer of TraceEvents, plus the ordered list of subscribers that
+/// see every one of them.
 class TraceSink {
  public:
   /// `capacity` 0 means unbounded.
@@ -167,12 +178,14 @@ class TraceSink {
   /// registry must outlive the sink.
   void bind_metrics(MetricsRegistry& registry);
 
-  /// Tees every retained event into a per-group flight recorder
-  /// (obs/flight_recorder.hpp) after it lands in the ring. The recorder
-  /// keeps its own bounds; eviction here never touches it. Pass nullptr
-  /// to detach. The recorder must outlive the sink (or be detached).
-  void set_flight_recorder(FlightRecorder* recorder) noexcept {
-    flight_ = recorder;
+  /// Called with every event record() keeps, after it lands in the
+  /// ring and has its id; message events skipped while disabled are not
+  /// delivered. Subscribers run in subscription order and keep their own
+  /// state: eviction from the ring never touches them. Whatever a
+  /// subscriber captures must outlive the sink's last record().
+  using Subscriber = std::function<void(const TraceEvent&)>;
+  void subscribe(Subscriber subscriber) {
+    subscribers_.push_back(std::move(subscriber));
   }
 
   void clear();
@@ -198,7 +211,7 @@ class TraceSink {
   std::uint64_t next_eid_ = 0;
   Gauge* events_gauge_ = nullptr;
   Gauge* overwritten_gauge_ = nullptr;
-  FlightRecorder* flight_ = nullptr;
+  std::vector<Subscriber> subscribers_;
 };
 
 }  // namespace dynvote::obs

@@ -17,17 +17,16 @@ constexpr auto kBackpressureTimeout = std::chrono::seconds(30);
 constexpr auto kQuiesceTimeout = std::chrono::seconds(60);
 }  // namespace
 
-PoolTransport::Slot::Slot(ProcessId pid, std::size_t idx, std::uint32_t w,
-                          const RuntimeOptions& options)
+PoolTransport::Slot::Slot(ProcessId pid, std::size_t idx, std::uint32_t w)
     : id(pid), index(idx), worker(w) {
-  trace.set_capacity(options.trace_capacity);
-  logger.set_level(options.log_level);
+  trace.set_capacity(kProcessTraceCapacity);
+  logger.set_level(kProcessLogLevel);
 }
 
 PoolTransport::Worker::Worker(std::uint32_t idx, std::uint32_t num_workers,
                               const RuntimeOptions& options,
                               std::size_t control_capacity)
-    : index(idx), wheel(options.wheel_tick_us), spill(num_workers) {
+    : index(idx), wheel(kWheelTickUs), spill(num_workers) {
   control = std::make_unique<SpscQueue<ControlItem>>(control_capacity);
   if (options.probes) {
     probe = std::make_unique<obs::ProbeRing>(options.probe_capacity);
@@ -57,7 +56,7 @@ PoolTransport::PoolTransport(const std::vector<ProcessId>& processes,
 
   for (std::size_t i = 0; i < ids_.size(); ++i) {
     slots_.push_back(std::make_unique<Slot>(
-        ids_[i], i, static_cast<std::uint32_t>(i % w), options_));
+        ids_[i], i, static_cast<std::uint32_t>(i % w)));
     slots_.back()->component = next_component_++;
   }
 
@@ -66,7 +65,7 @@ PoolTransport::PoolTransport(const std::vector<ProcessId>& processes,
   // two back-to-back bursts fit without making the controller spin.
   const std::size_t per_worker = (ids_.size() + w - 1) / w;
   const std::size_t control_capacity =
-      std::max(options_.control_capacity, 2 * per_worker + 8);
+      std::max(kControlCapacity, 2 * per_worker + 8);
   for (std::uint32_t wi = 0; wi < w; ++wi) {
     workers_.push_back(
         std::make_unique<Worker>(wi, w, options_, control_capacity));
@@ -79,7 +78,7 @@ PoolTransport::PoolTransport(const std::vector<ProcessId>& processes,
   // workers, so scale its capacity with the shard size; the spill
   // deques make this a performance knob, not a correctness bound.
   const std::size_t ring_capacity =
-      std::max(options_.link_capacity, 4 * per_worker);
+      std::max(kLinkCapacity, 4 * per_worker);
   rings_.reserve(static_cast<std::size_t>(w) * w);
   for (std::uint32_t src = 0; src < w; ++src) {
     for (std::uint32_t dst = 0; dst < w; ++dst) {

@@ -92,23 +92,22 @@
 
 namespace dynvote::runtime {
 
+/// Floor on each cross-worker data ring's capacity, in messages (the
+/// ring grows with the shard size; spill deques absorb overflow, so
+/// this is backpressure headroom, not a correctness bound).
+inline constexpr std::size_t kLinkCapacity = 256;
+/// Floor on each worker's control-queue capacity.
+inline constexpr std::size_t kControlCapacity = 128;
+/// Timer-wheel slot granularity, microseconds.
+inline constexpr SimTime kWheelTickUs = 1024;
+/// Per-process logger threshold.
+inline constexpr LogLevel kProcessLogLevel = LogLevel::kWarn;
+/// Per-process trace-ring capacity. Bounded so long benches don't grow
+/// trace memory without limit; far above any cross-check scenario's
+/// event count, so digests are unaffected.
+inline constexpr std::size_t kProcessTraceCapacity = 65536;
+
 struct RuntimeOptions {
-  /// Floor on each cross-worker data ring's capacity, in messages (the
-  /// ring grows with the shard size; spill deques absorb overflow, so
-  /// this is backpressure headroom, not a correctness bound).
-  std::size_t link_capacity = 256;
-  /// Floor on each worker's control-queue capacity.
-  std::size_t control_capacity = 128;
-  /// Timer-wheel slot granularity, microseconds.
-  SimTime wheel_tick_us = 1024;
-  /// Per-process logger threshold.
-  LogLevel log_level = LogLevel::kWarn;
-  /// Per-process trace-ring capacity. Bounded by default so long
-  /// benches don't grow trace memory without limit; the default is far
-  /// above any cross-check scenario's event count, so digests are
-  /// unaffected. 0 is the explicit unbounded opt-out for runs that need
-  /// the complete history regardless of length.
-  std::size_t trace_capacity = 65536;
   /// Wall-clock probe rings (obs/runtime_probe.hpp). Off by default;
   /// when off no ring exists and every record site is a single branch
   /// on a null pointer.
@@ -240,8 +239,7 @@ class PoolTransport final : public sim::Transport {
     std::uint32_t component = 0;
     bool ctl_alive = true;
 
-    Slot(ProcessId pid, std::size_t idx, std::uint32_t w,
-         const RuntimeOptions& options);
+    Slot(ProcessId pid, std::size_t idx, std::uint32_t w);
   };
 
   /// One event loop. Fields below `thread` are worker-owned unless

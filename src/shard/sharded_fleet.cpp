@@ -11,20 +11,6 @@
 
 namespace dynvote::shard {
 
-/// Per-group observer that closes the group's open reconfiguration
-/// window on the first formation after a fleet fault.
-struct ShardedFleet::GroupFormationObserver final : ProtocolObserver {
-  GroupFormationObserver(ShardedFleet* fleet, std::uint32_t group)
-      : fleet(fleet), group(group) {}
-
-  void on_formed(SimTime time, ProcessId, const Session&, int) override {
-    fleet->note_formed(group, time);
-  }
-
-  ShardedFleet* fleet;
-  std::uint32_t group;
-};
-
 ShardedFleet::~ShardedFleet() = default;
 
 ShardedFleet::ShardedFleet(ShardedFleetOptions options)
@@ -41,7 +27,12 @@ ShardedFleet::ShardedFleet(ShardedFleetOptions options)
     flight_ = std::make_unique<obs::FlightRecorder>(obs::FlightRecorderOptions{
         options_.num_groups, options_.group_size,
         options_.telemetry.flight_recorder_capacity});
-    sim_.trace().set_flight_recorder(flight_.get());
+    // First subscriber, so a post-mortem dumped while routing a
+    // formation already holds that formation.
+    sim_.trace().subscribe([recorder = flight_.get()](
+                               const obs::TraceEvent& event) {
+      recorder->note(event);
+    });
   } else {
     metrics_observer_ = std::make_unique<MetricsObserver>(sim_.metrics());
   }
@@ -56,12 +47,7 @@ ShardedFleet::ShardedFleet(ShardedFleetOptions options)
     }
     group.checker = std::make_unique<ConsistencyChecker>(
         group.members,
-        /*seed_initial=*/options_.kind != ProtocolKind::kStaticMajority);
-    group.formation_observer =
-        std::make_unique<GroupFormationObserver>(this, g);
-    group.observers = std::make_unique<MultiObserver>();
-    group.observers->add(group.checker.get());
-    group.observers->add(group.formation_observer.get());
+        seeds_initial_primary(options_.kind));
 
     DvConfig config;
     config.core = group.members;
@@ -72,20 +58,17 @@ ShardedFleet::ShardedFleet(ShardedFleetOptions options)
       // counters land in its own hub child, not the fleet-global pile.
       obs::MetricsRegistry& registry = hub_->group(g);
       group.metrics = std::make_unique<MetricsObserver>(registry);
-      group.observers->add(group.metrics.get());
       group.reconfig_hist = &registry.histogram("shard.reconfig_latency_ticks");
       group.reconfigs = &registry.counter("shard.reconfigs");
       config.registry = &registry;
-    } else {
-      group.observers->add(metrics_observer_.get());
     }
     for (ProcessId p : group.members) {
-      auto node = make_protocol(options_.kind, sim_.transport(), p, config);
-      node->set_observer(group.observers.get());
-      sim_.add_node(std::move(node));
+      sim_.add_node(make_protocol(options_.kind, sim_.transport(), p, config));
     }
     groups_.push_back(std::move(group));
   }
+  sim_.trace().subscribe(
+      [this](const obs::TraceEvent& event) { route(event); });
   if (hub_ != nullptr) {
     sampler_ = std::make_unique<obs::TimeSeriesSampler>(
         *hub_, obs::TimeSeriesOptions{options_.telemetry.timeseries_tick,
@@ -281,6 +264,27 @@ std::vector<Violation> ShardedFleet::check_all_groups(
     }
   }
   return out;
+}
+
+void ShardedFleet::route(const obs::TraceEvent& event) {
+  switch (event.kind) {
+    case obs::TraceEventKind::kViewInstalled:
+    case obs::TraceEventKind::kSessionAttempt:
+    case obs::TraceEventKind::kSessionFormed:
+    case obs::TraceEventKind::kPrimaryLost:
+    case obs::TraceEventKind::kSessionAbort:
+      break;
+    default:
+      return;  // messages, topology, crashes, ambiguity levels
+  }
+  const std::uint32_t g = event.a.value() / options_.group_size;
+  Group& group = groups_[g];
+  group.checker->observe(event);
+  (group.metrics != nullptr ? *group.metrics : *metrics_observer_)
+      .observe(event);
+  if (event.kind == obs::TraceEventKind::kSessionFormed) {
+    note_formed(g, event.time);
+  }
 }
 
 void ShardedFleet::note_formed(std::uint32_t group, SimTime time) {

@@ -110,7 +110,7 @@ class ShardedFleet {
   using MachinePartition = std::vector<std::vector<std::uint32_t>>;
 
   explicit ShardedFleet(ShardedFleetOptions options);
-  ~ShardedFleet();  // out of line: GroupFormationObserver is incomplete here
+  ~ShardedFleet();  // out of line: the obs:: members are incomplete here
 
   ShardedFleet(const ShardedFleet&) = delete;
   ShardedFleet& operator=(const ShardedFleet&) = delete;
@@ -234,15 +234,9 @@ class ShardedFleet {
   [[nodiscard]] JsonValue telemetry_json() const;
 
  private:
-  friend struct GroupFormationObserver;
-
-  struct GroupFormationObserver;
-
   struct Group {
     ProcessSet members;
     std::unique_ptr<ConsistencyChecker> checker;
-    std::unique_ptr<GroupFormationObserver> formation_observer;
-    std::unique_ptr<MultiObserver> observers;
     /// Telemetry mode: this group's protocol events land in its own hub
     /// child registry instead of the fleet-global one.
     std::unique_ptr<MetricsObserver> metrics;
@@ -261,6 +255,10 @@ class ShardedFleet {
   /// reconfiguration window for every group whose layout changed.
   void apply_components(std::vector<std::vector<ProcessSet>> per_group);
   void mark_groups_on_machine_pending(std::uint32_t machine);
+  /// The router subscriber: sends each protocol event to the group of
+  /// its acting process (pid / group_size) — the group's checker, its
+  /// metrics fold, and note_formed.
+  void route(const obs::TraceEvent& event);
   void note_formed(std::uint32_t group, SimTime time);
 
   ShardedFleetOptions options_;

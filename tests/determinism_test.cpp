@@ -28,32 +28,14 @@ std::string run_trace(ProtocolKind kind, std::uint64_t sim_seed,
   options.n = 5;
   options.sim.seed = sim_seed;
   Cluster cluster(options);
-  for (const ScheduleEvent& event : schedule) {
-    cluster.sim().queue().schedule_at(event.time, [&cluster, &event] {
-      switch (event.kind) {
-        case ScheduleEvent::Kind::kPartition:
-          cluster.partition(event.groups);
-          break;
-        case ScheduleEvent::Kind::kMerge: {
-          ProcessSet merged;
-          for (const auto& g : event.groups) merged = merged.set_union(g);
-          cluster.partition({merged});
-          break;
-        }
-        case ScheduleEvent::Kind::kCrash:
-          cluster.crash(event.process);
-          break;
-        case ScheduleEvent::Kind::kRecover:
-          cluster.recover(event.process);
-          break;
-      }
-    });
-  }
+  schedule_faults(cluster, schedule);
   cluster.merge();
   cluster.settle();
 
   std::ostringstream out;
-  out << cluster.trace().to_string();
+  for (const obs::TraceEvent& event : cluster.sim().trace().events()) {
+    out << obs::describe(event) << "\n";
+  }
   out << "msgs=" << cluster.sim().network().stats().messages_sent
       << " bytes=" << cluster.sim().network().stats().bytes_sent
       << " now=" << cluster.sim().now();

@@ -166,14 +166,24 @@ TEST(Trace, RecordsProtocolNarrative) {
   options.n = 3;
   Cluster cluster(options);
   cluster.start();
-  const auto& entries = cluster.trace().entries();
-  ASSERT_FALSE(entries.empty());
+  const auto& events = cluster.sim().trace().events();
+  ASSERT_FALSE(events.empty());
   bool saw_form = false;
-  for (const auto& entry : entries) {
-    saw_form |= entry.text.find("FORMS") != std::string::npos;
+  for (const obs::TraceEvent& event : events) {
+    const std::string line = obs::describe(event);
+    EXPECT_FALSE(line.empty());
+    if (event.kind == obs::TraceEventKind::kSessionFormed) {
+      saw_form = true;
+      EXPECT_NE(line.find("formed p" + std::to_string(event.a.value()) +
+                          " session " + std::to_string(event.number)),
+                std::string::npos)
+          << line;
+      EXPECT_NE(line.find("after " + std::to_string(event.value) + " rounds"),
+                std::string::npos)
+          << line;
+    }
   }
   EXPECT_TRUE(saw_form);
-  EXPECT_FALSE(cluster.trace().to_string().empty());
 }
 
 TEST(Cluster, LivePrimaryNulloptWhenNoneOrAmbiguous) {

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
+#include "harness/availability.hpp"
 #include "harness/cluster.hpp"
 #include "harness/scenario.hpp"
 #include "harness/trace_replay.hpp"
@@ -181,6 +183,26 @@ TEST(TraceSinkTest, MessageEventsAreGatedSeparately) {
   EXPECT_EQ(sink.size(), 2u);
 }
 
+TEST(TraceSinkTest, SubscribersSeeEveryRecordedEventInSubscriptionOrder) {
+  obs::TraceSink sink(2);
+  std::vector<std::string> calls;
+  sink.subscribe([&calls](const obs::TraceEvent& e) {
+    calls.push_back("first#" + std::to_string(e.eid));
+  });
+  sink.subscribe([&calls](const obs::TraceEvent& e) {
+    calls.push_back("second#" + std::to_string(e.eid));
+  });
+  for (SimTime t = 0; t < 4; ++t) sink.record(event_at(t));
+  obs::TraceEvent message;
+  message.kind = obs::TraceEventKind::kMessageSend;
+  sink.record(message);  // skipped while messages are off: not delivered
+  // The ring kept two events; the subscribers saw all four, in order.
+  EXPECT_EQ(sink.overwritten(), 2u);
+  EXPECT_EQ(calls, (std::vector<std::string>{"first#1", "second#1", "first#2",
+                                             "second#2", "first#3", "second#3",
+                                             "first#4", "second#4"}));
+}
+
 // ---- deterministic export + replay -----------------------------------------
 
 std::string run_and_export(std::uint64_t seed) {
@@ -275,6 +297,55 @@ TEST(TraceReplayTest, DetectsSplitBrainOfNaiveProtocolFromTraceAlone) {
   EXPECT_EQ(verdict.formed_sessions, cluster.checker().formed_session_count());
 }
 
+TEST(TraceReplayTest, ReplayVerdictEqualsLiveVerdictForEveryProtocol) {
+  // The live checker subscribes to the sink; check_trace feeds the
+  // exported copy through the same ConsistencyChecker::observe. On an
+  // unbounded trace the two must agree on everything, broken baselines
+  // included.
+  ScheduleOptions schedule_options;
+  schedule_options.seed = 25;
+  schedule_options.duration = 3'000'000;
+  schedule_options.mean_event_gap = 30'000;
+  const auto schedule =
+      generate_schedule(ProcessSet::range(5), schedule_options);
+  std::size_t violating_protocols = 0;
+  for (const ProtocolKind kind : all_protocol_kinds()) {
+    ClusterOptions options;
+    options.kind = kind;
+    options.n = 5;
+    options.sim.seed = 1;
+    // Members miss the closing round of sessions (paper section 1), which
+    // is what splits the broken baselines' brains.
+    options.formation_miss = 0.8;
+    Cluster cluster(options);
+    schedule_faults(cluster, schedule);
+    cluster.merge();
+    cluster.settle();
+
+    const ConsistencyChecker& live = cluster.checker();
+    const TraceCheckResult replay = check_trace(load_trace_json(
+        trace_json_string(cluster.trace_meta(), cluster.sim().trace())));
+    const std::vector<Violation> live_violations = live.check_all();
+    EXPECT_FALSE(replay.truncated) << to_string(kind);
+    ASSERT_EQ(replay.violations.size(), live_violations.size())
+        << to_string(kind);
+    for (std::size_t i = 0; i < live_violations.size(); ++i) {
+      EXPECT_EQ(replay.violations[i].kind, live_violations[i].kind);
+      EXPECT_EQ(replay.violations[i].detail, live_violations[i].detail);
+    }
+    EXPECT_GT(live.form_events(), 0u) << to_string(kind);
+    EXPECT_EQ(replay.formed_sessions, live.formed_session_count())
+        << to_string(kind);
+    EXPECT_EQ(replay.attempts, live.attempt_events()) << to_string(kind);
+    EXPECT_EQ(replay.aborts, live.rejected_sessions()) << to_string(kind);
+    if (!live_violations.empty()) ++violating_protocols;
+    EXPECT_EQ(live_violations.empty(), is_consistent_protocol(kind))
+        << to_string(kind);
+  }
+  // The comparison covered both broken baselines' violations.
+  EXPECT_EQ(violating_protocols, 2u);
+}
+
 TEST(TraceReplayTest, RingBoundedTraceStillReplaysRecentEvents) {
   ClusterOptions options;
   options.kind = ProtocolKind::kOptimized;
@@ -292,6 +363,29 @@ TEST(TraceReplayTest, RingBoundedTraceStillReplaysRecentEvents) {
   const obs::TraceSink& sink = cluster.sim().trace();
   EXPECT_LE(sink.size(), 64u);
   EXPECT_GT(sink.overwritten(), 0u);
+
+  // Subscribers saw the evicted events too: the live checker and the
+  // dv.* fold agree with an unbounded twin run of the same seed.
+  options.trace_capacity = 0;
+  Cluster twin(options);
+  twin.start();
+  for (int i = 0; i < 6; ++i) {
+    twin.partition({ProcessSet::of({0, 1, 2}), ProcessSet::of({3, 4})});
+    twin.settle();
+    twin.merge();
+    twin.settle();
+  }
+  EXPECT_EQ(twin.sim().trace().overwritten(), 0u);
+  EXPECT_EQ(cluster.checker().formed_session_count(),
+            twin.checker().formed_session_count());
+  EXPECT_EQ(cluster.sim().metrics().counter_value("dv.formed"),
+            twin.sim().metrics().counter_value("dv.formed"));
+  std::uint64_t formed_in_ring = 0;
+  for (const obs::TraceEvent& e : sink.events()) {
+    formed_in_ring += e.kind == obs::TraceEventKind::kSessionFormed ? 1 : 0;
+  }
+  EXPECT_LT(formed_in_ring,
+            cluster.sim().metrics().counter_value("dv.formed"));
   const TraceMetaAndEvents loaded =
       load_trace_json(trace_to_json(cluster.trace_meta(), sink).dump());
   EXPECT_EQ(loaded.meta.overwritten, sink.overwritten());

@@ -25,16 +25,17 @@
 namespace dynvote {
 namespace {
 
-/// Observer asserting Lemma 1/3: each process's attempted session
-/// numbers strictly increase.
-class MonotonicityObserver final : public ProtocolObserver {
+/// Trace subscriber asserting Lemma 1/3: each process's attempted
+/// session numbers strictly increase.
+class MonotonicityCheck {
  public:
-  void on_attempt(SimTime, ProcessId p, const Session& session) override {
-    auto [it, inserted] = last_.try_emplace(p, session.number);
+  void observe(const obs::TraceEvent& event) {
+    if (event.kind != obs::TraceEventKind::kSessionAttempt) return;
+    auto [it, inserted] = last_.try_emplace(event.a, event.number);
     if (!inserted) {
-      EXPECT_GT(session.number, it->second)
-          << to_string(p) << " attempted non-increasing session numbers";
-      it->second = session.number;
+      EXPECT_GT(event.number, it->second)
+          << to_string(event.a) << " attempted non-increasing session numbers";
+      it->second = event.number;
     }
   }
 
@@ -64,37 +65,11 @@ TEST_P(RandomScheduleProperty, InvariantsHoldAndHealedSystemRecovers) {
   options.sim.seed = seed;
   Cluster cluster(options);
 
-  MonotonicityObserver monotonic;
-  // Wire the extra observer into every protocol instance alongside the
-  // checker: protocols only hold one observer, so go through a fan-out.
-  MultiObserver fanout;
-  fanout.add(&cluster.checker());
-  fanout.add(&monotonic);
-  for (ProcessId p : cluster.all_processes()) {
-    cluster.protocol(p).set_observer(&fanout);
-  }
+  MonotonicityCheck monotonic;
+  cluster.sim().trace().subscribe(
+      [&monotonic](const obs::TraceEvent& event) { monotonic.observe(event); });
 
-  for (const ScheduleEvent& event : schedule) {
-    cluster.sim().queue().schedule_at(event.time, [&cluster, &event] {
-      switch (event.kind) {
-        case ScheduleEvent::Kind::kPartition:
-          cluster.partition(event.groups);
-          break;
-        case ScheduleEvent::Kind::kMerge: {
-          ProcessSet merged;
-          for (const auto& g : event.groups) merged = merged.set_union(g);
-          cluster.partition({merged});
-          break;
-        }
-        case ScheduleEvent::Kind::kCrash:
-          cluster.crash(event.process);
-          break;
-        case ScheduleEvent::Kind::kRecover:
-          cluster.recover(event.process);
-          break;
-      }
-    });
-  }
+  schedule_faults(cluster, schedule);
   cluster.merge();
   cluster.settle();
 
@@ -196,27 +171,7 @@ class LossyScheduleProperty
           return drop_rng.next_bool(0.12);
         });
 
-    for (const ScheduleEvent& event : schedule) {
-      cluster.sim().queue().schedule_at(event.time, [&cluster, &event] {
-        switch (event.kind) {
-          case ScheduleEvent::Kind::kPartition:
-            cluster.partition(event.groups);
-            break;
-          case ScheduleEvent::Kind::kMerge: {
-            ProcessSet merged;
-            for (const auto& g : event.groups) merged = merged.set_union(g);
-            cluster.partition({merged});
-            break;
-          }
-          case ScheduleEvent::Kind::kCrash:
-            cluster.crash(event.process);
-            break;
-          case ScheduleEvent::Kind::kRecover:
-            cluster.recover(event.process);
-            break;
-        }
-      });
-    }
+    schedule_faults(cluster, schedule);
     cluster.merge();
     cluster.settle();
     return cluster.checker().check_basic().size();
@@ -341,27 +296,7 @@ TEST_P(KvChurnProperty, StoreNeverDivergesUnderConsistentProtocol) {
   Cluster cluster(options);
   app::KvStore store(cluster);
 
-  for (const ScheduleEvent& event : schedule) {
-    cluster.sim().queue().schedule_at(event.time, [&cluster, &event] {
-      switch (event.kind) {
-        case ScheduleEvent::Kind::kPartition:
-          cluster.partition(event.groups);
-          break;
-        case ScheduleEvent::Kind::kMerge: {
-          ProcessSet merged;
-          for (const auto& g : event.groups) merged = merged.set_union(g);
-          cluster.partition({merged});
-          break;
-        }
-        case ScheduleEvent::Kind::kCrash:
-          cluster.crash(event.process);
-          break;
-        case ScheduleEvent::Kind::kRecover:
-          cluster.recover(event.process);
-          break;
-      }
-    });
-  }
+  schedule_faults(cluster, schedule);
   // Periodic writes from every process, racing the failures.
   int counter = 0;
   for (SimTime t = 30'000; t < schedule_options.duration; t += 60'000) {
