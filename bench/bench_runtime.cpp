@@ -56,7 +56,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <ctime>
 #include <limits>
 #include <string>
 #include <utility>
@@ -64,6 +63,7 @@
 
 #include "harness/bench_report.hpp"
 #include "obs/runtime_probe.hpp"
+#include "paired_overhead.hpp"
 #include "runtime/crosscheck.hpp"
 #include "runtime/fleet.hpp"
 #include "util/table.hpp"
@@ -244,46 +244,16 @@ MeasureOut measure(ProtocolKind kind, std::uint32_t n, int cycles, bool probes,
   return out;
 }
 
-/// Process CPU time in milliseconds (all threads; parked threads accrue
-/// nothing, so this measures the work, not the waiting).
-double cpu_time_ms() {
-  timespec ts{};
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) * 1e3 +
-         static_cast<double>(ts.tv_nsec) / 1e6;
-}
-
-/// Probe-overhead measurement: N adjacent probes-off/probes-on pairs of
-/// the phase-1 cell, CPU-timed, identical outcome digests required.
-/// Estimator: max(0, MIN over per-pair ratios - 1) — the min-of-pairs
-/// rationale (episodic shared-runner noise inflates pairs, a real
-/// regression shifts all of them) is documented at
-/// bench/bench_shards.cpp's measure_overhead.
+/// Probe-overhead measurement: adjacent probes-off/probes-on pairs of
+/// the phase-1 cell, identical outcome digests required.
 bool measure_overhead(std::uint32_t n, int cycles, int reps, double& overhead) {
-  // Discarded warmup pair (pristine-heap bias, see bench_shards).
-  (void)measure(ProtocolKind::kOptimized, n, cycles, false, false);
-  (void)measure(ProtocolKind::kOptimized, n, cycles, true, false);
-  double best_ratio = 0;
-  std::uint64_t digest_on = 0;
-  std::uint64_t digest_off = 0;
-  for (int rep = 0; rep < reps; ++rep) {
-    const bool off_first = rep % 2 == 0;
-    const double t0 = cpu_time_ms();
-    const MeasureOut first =
-        measure(ProtocolKind::kOptimized, n, cycles, !off_first, false);
-    const double t1 = cpu_time_ms();
-    const MeasureOut second =
-        measure(ProtocolKind::kOptimized, n, cycles, off_first, false);
-    const double t2 = cpu_time_ms();
-    const double ms_off = off_first ? t1 - t0 : t2 - t1;
-    const double ms_on = off_first ? t2 - t1 : t1 - t0;
-    const double ratio = ms_off > 0 ? ms_on / ms_off : 1.0;
-    if (rep == 0 || ratio < best_ratio) best_ratio = ratio;
-    digest_on = off_first ? second.digest : first.digest;
-    digest_off = off_first ? first.digest : second.digest;
-  }
-  overhead = std::max(0.0, best_ratio - 1.0);
-  return digest_on == digest_off;
+  return bench::measure_paired_overhead(
+      reps,
+      [&](bool probes) {
+        return measure(ProtocolKind::kOptimized, n, cycles, probes, false)
+            .digest;
+      },
+      overhead);
 }
 
 struct ScaleRow {

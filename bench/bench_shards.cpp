@@ -32,7 +32,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <ctime>
 #include <string>
 #include <vector>
 
@@ -41,6 +40,7 @@
 #include "harness/sweep.hpp"
 #include "harness/trace_replay.hpp"
 #include "obs/metrics.hpp"
+#include "paired_overhead.hpp"
 #include "shard/sharded_fleet.hpp"
 #include "shard/sharded_kv.hpp"
 #include "util/rng.hpp"
@@ -169,60 +169,17 @@ RunResult run_cell(const FleetShape& shape, std::uint64_t seed,
   return result;
 }
 
-/// Process CPU time in milliseconds. Wall clocks on shared hosts
-/// jitter +/-10% on the ~300ms cells below; CPU time strips the
-/// scheduler out of the measurement and leaves only frequency drift,
-/// which best-of-N then suppresses.
-double cpu_time_ms() {
-  timespec ts{};
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) * 1e3 +
-         static_cast<double>(ts.tv_nsec) / 1e6;
-}
-
-/// Telemetry-overhead measurement on the small shape: N adjacent
-/// on/off pairs of long cells (`rounds` fault rounds, ~300ms each at
-/// the defaults), CPU-timed, identical simulation digests required.
-///
-/// The estimator is the MINIMUM over per-pair ratios, floored at 0.
-/// Rationale: shared-runner noise here comes in multi-second episodes
-/// (frequency scaling, cache contention) that inflate CPU time of
-/// identical work by 5-10%, which no per-mode best-of-N can see
-/// through — but a real telemetry regression shifts EVERY pair by the
-/// regression, while a noise episode must land on all N pairs at once
-/// to fake one. The cleanest pair is therefore the honest reading: a
-/// true 2x cost still fails the 5% budget by an order of magnitude,
-/// and the ~1-2% true overhead passes regardless of episodes.
-/// Adjacent pairing (not pooled minima) keeps both sides of each
-/// ratio inside the same noise epoch; alternating which mode runs
-/// first cancels intra-pair drift across pairs.
+/// Telemetry-overhead measurement on the small shape: adjacent on/off
+/// pairs of long cells (`rounds` fault rounds, ~300ms each at the
+/// defaults), identical simulation digests required.
 bool measure_overhead(const FleetShape& shape, double& overhead, int reps,
                       int rounds) {
-  // Discarded warmup pair: the very first cell runs on a pristine heap
-  // no later cell sees again, and letting it into a ratio biases that
-  // pair by a few percent.
-  (void)run_cell(shape, 0, /*telemetry=*/false, rounds);
-  (void)run_cell(shape, 0, /*telemetry=*/true, rounds);
-  double best_ratio = 0;
-  RunDigest digest_on, digest_off;
-  for (int rep = 0; rep < reps; ++rep) {
-    const bool off_first = rep % 2 == 0;
-    const double t0 = cpu_time_ms();
-    const RunResult first =
-        run_cell(shape, 0, /*telemetry=*/!off_first, rounds);
-    const double t1 = cpu_time_ms();
-    const RunResult second =
-        run_cell(shape, 0, /*telemetry=*/off_first, rounds);
-    const double t2 = cpu_time_ms();
-    const double ms_off = off_first ? t1 - t0 : t2 - t1;
-    const double ms_on = off_first ? t2 - t1 : t1 - t0;
-    const double ratio = ms_off > 0 ? ms_on / ms_off : 1.0;
-    if (rep == 0 || ratio < best_ratio) best_ratio = ratio;
-    digest_on = off_first ? second.digest : first.digest;
-    digest_off = off_first ? first.digest : second.digest;
-  }
-  overhead = std::max(0.0, best_ratio - 1.0);
-  return digest_on == digest_off;
+  return bench::measure_paired_overhead(
+      reps,
+      [&](bool telemetry) {
+        return run_cell(shape, 0, telemetry, rounds).digest;
+      },
+      overhead);
 }
 
 struct ViolationDemo {

@@ -14,7 +14,8 @@ NaiveDynamicProtocol::NaiveDynamicProtocol(sim::Transport& transport,
                                            ProcessId id, DvConfig config)
     : SessionProtocolBase(transport, id, /*max_phases=*/1),
       state_(ProtocolState::initial(config.core, id)),
-      config_(std::move(config)) {
+      config_(std::move(config)),
+      state_key_(storage().intern(kStateKey)) {
   persist();
 }
 
@@ -25,12 +26,11 @@ NaiveDynamicProtocol::NaiveDynamicProtocol(sim::Simulator& sim, ProcessId id,
 void NaiveDynamicProtocol::persist() {
   Encoder& enc = scratch_encoder();
   state_.encode(enc);
-  storage().put(kStateKey, enc.bytes().data(), enc.size());
+  storage().put(state_key_, enc.bytes().data(), enc.size());
 }
 
 void NaiveDynamicProtocol::handle_recover() {
-  const auto bytes = storage().get(kStateKey);
-  if (bytes) {
+  if (const std::vector<std::uint8_t>* bytes = storage().value(state_key_)) {
     Decoder dec(*bytes);
     state_ = ProtocolState::decode(dec);
   } else {

@@ -16,6 +16,7 @@
 #include "dv/basic_protocol.hpp"
 #include "dv/protocol_base.hpp"
 #include "dv/state.hpp"
+#include "sim/stable_storage.hpp"
 
 namespace dynvote {
 
@@ -37,6 +38,7 @@ class NaiveDynamicProtocol : public SessionProtocolBase {
 
   ProtocolState state_;
   DvConfig config_;
+  sim::StableStorage::KeyId state_key_;
 };
 
 }  // namespace dynvote

@@ -65,6 +65,20 @@ TraceEventKind trace_event_kind_from_string(std::string_view s) {
 
 namespace {
 
+/// A process id read from a trace document. Ids at or past
+/// kProcessIdLimit are rejected here, before any set is sized by them.
+ProcessId process_id_from_json(const JsonValue& value) {
+  const std::uint64_t raw = value.as_uint();
+  if (raw >= kProcessIdLimit) {
+    throw JsonError("trace: process id " + std::to_string(raw) +
+                    " is not below kProcessIdLimit (" +
+                    std::to_string(kProcessIdLimit) + ")");
+  }
+  return ProcessId(static_cast<std::uint32_t>(raw));
+}
+
+}  // namespace
+
 JsonValue process_set_to_json(const ProcessSet& set) {
   JsonValue arr = JsonValue::array();
   arr.reserve(set.size());
@@ -78,12 +92,10 @@ ProcessSet process_set_from_json(const JsonValue& value) {
   std::vector<ProcessId> members;
   members.reserve(value.as_array().size());
   for (const JsonValue& entry : value.as_array()) {
-    members.emplace_back(static_cast<std::uint32_t>(entry.as_uint()));
+    members.push_back(process_id_from_json(entry));
   }
   return ProcessSet(std::move(members));
 }
-
-}  // namespace
 
 JsonValue to_json(const TraceEvent& event) {
   JsonValue e = JsonValue::object();
@@ -122,11 +134,11 @@ TraceEvent trace_event_from_json(const JsonValue& value) {
         has_k = true;
         break;
       case 'a':
-        event.a = ProcessId(static_cast<std::uint32_t>(field.as_uint()));
+        event.a = process_id_from_json(field);
         has_a = true;
         break;
       case 'b':
-        event.b = ProcessId(static_cast<std::uint32_t>(field.as_uint()));
+        event.b = process_id_from_json(field);
         break;
       case 'n': event.number = field.as_int(); break;
       case 'v': event.value = field.as_uint(); break;

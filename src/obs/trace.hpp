@@ -119,8 +119,14 @@ struct TraceEvent {
 [[nodiscard]] JsonValue to_json(const TraceEvent& event);
 
 /// Inverse of to_json(TraceEvent). Throws JsonError when a required
-/// field (t, k, a, e) is missing.
+/// field (t, k, a, e) is missing or a process id is not below
+/// kProcessIdLimit.
 [[nodiscard]] TraceEvent trace_event_from_json(const JsonValue& value);
+
+/// A ProcessSet as a JSON array of raw ids, and back. The reader throws
+/// JsonError for ids >= kProcessIdLimit.
+[[nodiscard]] JsonValue process_set_to_json(const ProcessSet& set);
+[[nodiscard]] ProcessSet process_set_from_json(const JsonValue& value);
 
 /// One line of prose for `event`: "[time] #eid kind pP ...", with the
 /// kind's fields, the Lamport clock and the causal parent. The narrative

@@ -25,34 +25,36 @@ bool deterministic_outcome(ProtocolKind kind) {
   }
 }
 
-/// The canonical transcript of a DES run, in the exact format of
-/// RuntimeFleet::outcome_summary(): the simulator records all processes
-/// into one sink, so filter per process (order within one process is
-/// preserved) and append each node's final state.
+/// The canonical transcript of a DES run: the simulator records all
+/// processes into one sink, which append_outcome_line filters per
+/// process.
 std::string cluster_summary(Cluster& cluster) {
   std::string out;
   for (ProcessId p : cluster.all_processes()) {
-    out += to_string(p) + ":";
-    for (const obs::TraceEvent& event : cluster.sim().trace().events()) {
-      if (event.a != p) continue;
-      switch (event.kind) {
-        case obs::TraceEventKind::kViewInstalled:
-          out += " V" + std::to_string(event.number) + "=" +
-                 to_string(event.members);
-          break;
-        case obs::TraceEventKind::kSessionFormed:
-          out += " F" + std::to_string(event.number) + "r" +
-                 std::to_string(event.value) + "=" + to_string(event.members);
-          break;
-        default:
-          break;
-      }
-    }
-    const ProtocolNode& node = cluster.protocol(p);
-    out += " | primary=" + to_string(node.primary_session()) +
-           " formed=" + std::to_string(node.formed_count()) + "\n";
+    append_outcome_line(out, p, cluster.sim().trace().events(),
+                        cluster.protocol(p));
   }
   return out;
+}
+
+/// Applies one scripted verb to a Cluster or a RuntimeFleet, which
+/// expose the same four topology verbs.
+template <class Target>
+void apply_step(Target& target, const ScenarioStep& step) {
+  switch (step.kind) {
+    case ScenarioStep::Kind::kPartition:
+      target.partition(step.groups);
+      break;
+    case ScenarioStep::Kind::kMerge:
+      target.merge();
+      break;
+    case ScenarioStep::Kind::kCrash:
+      target.crash(step.p);
+      break;
+    case ScenarioStep::Kind::kRecover:
+      target.recover(step.p);
+      break;
+  }
 }
 
 /// C1 at a quiescent point of the DES: distinct primary sessions among
@@ -161,20 +163,7 @@ std::string run_fleet(FleetOptions options,
   fleet.start();
   c1_clean &= RuntimeFleet::distinct_primaries(fleet.probe()) <= 1;
   for (const ScenarioStep& step : script) {
-    switch (step.kind) {
-      case ScenarioStep::Kind::kPartition:
-        fleet.partition(step.groups);
-        break;
-      case ScenarioStep::Kind::kMerge:
-        fleet.merge();
-        break;
-      case ScenarioStep::Kind::kCrash:
-        fleet.crash(step.p);
-        break;
-      case ScenarioStep::Kind::kRecover:
-        fleet.recover(step.p);
-        break;
-    }
+    apply_step(fleet, step);
     c1_clean &= RuntimeFleet::distinct_primaries(fleet.probe()) <= 1;
   }
   fleet.stop();
@@ -205,20 +194,7 @@ CrossCheckResult run_scenario(ProtocolKind kind, std::uint32_t n,
     cluster.start();
     result.c1_clean &= cluster_distinct_primaries(cluster) <= 1;
     for (const ScenarioStep& step : script) {
-      switch (step.kind) {
-        case ScenarioStep::Kind::kPartition:
-          cluster.partition(step.groups);
-          break;
-        case ScenarioStep::Kind::kMerge:
-          cluster.merge();
-          break;
-        case ScenarioStep::Kind::kCrash:
-          cluster.crash(step.p);
-          break;
-        case ScenarioStep::Kind::kRecover:
-          cluster.recover(step.p);
-          break;
-      }
+      apply_step(cluster, step);
       cluster.settle();
       result.c1_clean &= cluster_distinct_primaries(cluster) <= 1;
     }

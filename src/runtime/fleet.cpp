@@ -16,6 +16,29 @@ std::uint64_t fnv1a64(const std::string& data) {
   return hash;
 }
 
+void append_outcome_line(std::string& out, ProcessId p,
+                         const std::deque<obs::TraceEvent>& events,
+                         const ProtocolNode& node) {
+  out += to_string(p) + ":";
+  for (const obs::TraceEvent& event : events) {
+    if (event.a != p) continue;
+    switch (event.kind) {
+      case obs::TraceEventKind::kViewInstalled:
+        out += " V" + std::to_string(event.number) + "=" +
+               to_string(event.members);
+        break;
+      case obs::TraceEventKind::kSessionFormed:
+        out += " F" + std::to_string(event.number) + "r" +
+               std::to_string(event.value) + "=" + to_string(event.members);
+        break;
+      default:
+        break;
+    }
+  }
+  out += " | primary=" + to_string(node.primary_session()) +
+         " formed=" + std::to_string(node.formed_count()) + "\n";
+}
+
 RuntimeFleet::RuntimeFleet(FleetOptions options)
     : options_(std::move(options)), config_(options_.config) {
   std::vector<ProcessId> ids;
@@ -39,12 +62,7 @@ RuntimeFleet::RuntimeFleet(FleetOptions options)
 RuntimeFleet::~RuntimeFleet() { stop(); }
 
 ProtocolNode& RuntimeFleet::protocol(ProcessId p) {
-  const auto& ids = transport_->processes();
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (ids[i] == p) return *nodes_[i];
-  }
-  ensure(false, "unknown fleet process " + to_string(p));
-  return *nodes_.front();
+  return *nodes_[transport_->index_of(p)];
 }
 
 void RuntimeFleet::start() {
@@ -124,24 +142,8 @@ std::string RuntimeFleet::outcome_summary() {
   std::string out;
   const auto& ids = transport_->processes();
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    out += to_string(ids[i]) + ":";
-    for (const obs::TraceEvent& event : transport_->trace(ids[i]).events()) {
-      switch (event.kind) {
-        case obs::TraceEventKind::kViewInstalled:
-          out += " V" + std::to_string(event.number) + "=" +
-                 to_string(event.members);
-          break;
-        case obs::TraceEventKind::kSessionFormed:
-          out += " F" + std::to_string(event.number) + "r" +
-                 std::to_string(event.value) + "=" + to_string(event.members);
-          break;
-        default:
-          break;
-      }
-    }
-    const ProtocolNode& node = *nodes_[i];
-    out += " | primary=" + to_string(node.primary_session()) +
-           " formed=" + std::to_string(node.formed_count()) + "\n";
+    append_outcome_line(out, ids[i], transport_->trace(ids[i]).events(),
+                        *nodes_[i]);
   }
   return out;
 }

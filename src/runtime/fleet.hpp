@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -24,6 +25,7 @@
 
 #include "dv/service.hpp"
 #include "membership/view_announcer.hpp"
+#include "obs/trace.hpp"
 #include "runtime/pool_transport.hpp"
 #include "util/ids.hpp"
 #include "util/process_set.hpp"
@@ -125,5 +127,15 @@ class RuntimeFleet {
 /// FNV-1a 64-bit — tiny, deterministic, dependency-free; collisions are
 /// irrelevant here (the cross-check compares summaries on mismatch).
 [[nodiscard]] std::uint64_t fnv1a64(const std::string& data);
+
+/// Appends p's line of the canonical outcome transcript to `out`: the
+/// view installs and session formations p recorded in `events` (events
+/// of other processes are skipped, so a shared DES sink works as well
+/// as a per-process one), then `node`'s final state. Both
+/// RuntimeFleet::outcome_summary and the DES side of the cross-check
+/// build their transcripts from it.
+void append_outcome_line(std::string& out, ProcessId p,
+                         const std::deque<obs::TraceEvent>& events,
+                         const ProtocolNode& node);
 
 }  // namespace dynvote::runtime

@@ -40,13 +40,13 @@ PoolTransport::PoolTransport(const std::vector<ProcessId>& processes,
       pair_state_(processes.size() * processes.size()),
       start_time_(std::chrono::steady_clock::now()) {
   ensure(!ids_.empty(), "runtime transport needs at least one process");
-  lookup_.reserve(ids_.size());
   for (std::size_t i = 0; i < ids_.size(); ++i) {
-    lookup_.emplace_back(ids_[i], i);
-  }
-  std::sort(lookup_.begin(), lookup_.end());
-  for (std::size_t i = 1; i < lookup_.size(); ++i) {
-    ensure(lookup_[i - 1].first != lookup_[i].first, "duplicate process id");
+    const std::uint32_t raw = ids_[i].value();
+    ensure(raw < kProcessIdLimit,
+           "runtime process " + to_string(ids_[i]) + " >= kProcessIdLimit");
+    if (raw >= index_by_id_.size()) index_by_id_.resize(raw + 1, kNoIndex);
+    ensure(index_by_id_[raw] == kNoIndex, "duplicate process id");
+    index_by_id_[raw] = static_cast<std::uint32_t>(i);
   }
 
   std::uint32_t w = workers;
@@ -103,12 +103,13 @@ PoolTransport::PoolTransport(const std::vector<ProcessId>& processes,
 PoolTransport::~PoolTransport() { stop_and_join(); }
 
 std::size_t PoolTransport::index_of(ProcessId p) const {
-  const auto it = std::lower_bound(
-      lookup_.begin(), lookup_.end(), p,
-      [](const auto& entry, ProcessId id) { return entry.first < id; });
-  ensure(it != lookup_.end() && it->first == p,
-         "unknown runtime process " + to_string(p));
-  return it->second;
+  const std::uint32_t raw = p.value();
+  const std::uint32_t index =
+      raw < index_by_id_.size() ? index_by_id_[raw] : kNoIndex;
+  if (index == kNoIndex) {
+    ensure(false, "unknown runtime process " + to_string(p));
+  }
+  return index;
 }
 
 PoolTransport::Slot& PoolTransport::slot(ProcessId p) {

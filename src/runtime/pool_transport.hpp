@@ -124,7 +124,8 @@ struct RuntimeOptions {
 class PoolTransport final : public sim::Transport {
  public:
   /// `workers` = 0 picks hardware_concurrency; the count is always
-  /// clamped to [1, n] (more workers than processes would idle).
+  /// clamped to [1, n] (more workers than processes would idle). Ids
+  /// must be distinct and below kProcessIdLimit.
   PoolTransport(const std::vector<ProcessId>& processes,
                 std::uint32_t workers, RuntimeOptions options = {});
   ~PoolTransport() override;
@@ -185,6 +186,9 @@ class PoolTransport final : public sim::Transport {
   [[nodiscard]] const std::vector<ProcessId>& processes() const noexcept {
     return ids_;
   }
+  /// Position of `p` in processes(): one direct-vector lookup. Throws
+  /// InvariantViolation for an id the transport was not built with.
+  [[nodiscard]] std::size_t index_of(ProcessId p) const;
 
   // -- probe surface --------------------------------------------------------
 
@@ -283,7 +287,6 @@ class PoolTransport final : public sim::Transport {
 
   [[nodiscard]] Slot& slot(ProcessId p);
   [[nodiscard]] const Slot& slot(ProcessId p) const;
-  [[nodiscard]] std::size_t index_of(ProcessId p) const;
 
   /// The worker(src)→worker(dst) data ring.
   [[nodiscard]] SpscQueue<PoolItem>& ring(std::uint32_t src,
@@ -313,8 +316,9 @@ class PoolTransport final : public sim::Transport {
 
   RuntimeOptions options_;
   std::vector<ProcessId> ids_;
-  /// (id, index) sorted by id — O(log n) lookup on the send path.
-  std::vector<std::pair<ProcessId, std::size_t>> lookup_;
+  /// Raw id -> index into ids_ (kNoIndex for ids not registered).
+  static constexpr std::uint32_t kNoIndex = 0xffffffffu;
+  std::vector<std::uint32_t> index_by_id_;
   std::vector<std::unique_ptr<Slot>> slots_;    // stable addresses, id order
   std::vector<std::unique_ptr<Worker>> workers_;  // stable addresses
   std::vector<std::unique_ptr<SpscQueue<PoolItem>>> rings_;  // W×W

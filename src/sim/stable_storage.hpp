@@ -14,13 +14,11 @@
 //
 // Keys are interned once into small dense `KeyId`s (cold path); the hot
 // persist path indexes a flat vector and never hashes or compares a
-// string. The string overloads remain as thin shims for tests and
-// legacy callers.
+// string.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -62,17 +60,6 @@ class StableStorage {
   /// Drops the log (checkpoint compaction). Keeps the buffer capacity:
   /// steady-state compaction does not re-grow the log allocation.
   void truncate_log(KeyId key);
-
-  // -- string shims (tests + cold callers) ---------------------------------
-
-  void put(const std::string& key, std::vector<std::uint8_t> value);
-  void put(const std::string& key, const std::uint8_t* data,
-           std::size_t size);
-
-  [[nodiscard]] std::optional<std::vector<std::uint8_t>> get(
-      const std::string& key) const;
-
-  bool erase(const std::string& key);
 
   /// Wipes everything — values and logs: the "severe disk crash" fault.
   /// A process recovering afterwards comes up with no history, i.e. with

@@ -84,6 +84,7 @@ class Decoder {
   std::uint64_t get_varint();
   bool get_bool();
   std::string get_string();
+  /// Throws CodecError for ids >= kProcessIdLimit.
   ProcessId get_process_id();
   ProcessSet get_process_set();
 

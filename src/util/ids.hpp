@@ -13,9 +13,11 @@
 
 namespace dynvote {
 
-/// A process (site) identifier. Processes are named by small integers in
-/// the simulator; the protocol itself only requires a total "linear order"
-/// over identifiers (paper section 4.1), which operator<=> provides.
+/// A process (site) identifier. The protocol itself only requires a total
+/// "linear order" over identifiers (paper section 4.1), which operator<=>
+/// provides; this library additionally names processes by dense indices
+/// below kProcessIdLimit (every fleet hands out 0..n-1 in registration
+/// order), so sets and routing tables index by id directly.
 class ProcessId {
  public:
   constexpr ProcessId() noexcept = default;
@@ -28,6 +30,12 @@ class ProcessId {
  private:
   std::uint32_t value_ = 0;
 };
+
+/// Every legal ProcessId is below this bound. ProcessSet, sim::Network
+/// and runtime::PoolTransport reject larger ids at construction and
+/// insertion, and the decoders reject them on input, so no table sized
+/// by the largest id can outgrow 2^20 entries.
+inline constexpr std::uint32_t kProcessIdLimit = 1u << 20;
 
 /// A membership-view identifier. Views are produced by the membership
 /// oracle with globally increasing ids; protocol messages carry the view

@@ -120,8 +120,12 @@ TEST(Codec, ThrowsOnVarintOverflow) {
 TEST(Codec, ThrowsOnProcessIdOutOfRange) {
   Encoder enc;
   enc.put_varint(0x1'0000'0000ULL);  // > 32-bit
+  enc.put_varint(kProcessIdLimit);   // fits 32 bits, past the id space
+  enc.put_varint(kProcessIdLimit - 1);
   Decoder dec(enc.bytes());
   EXPECT_THROW(dec.get_process_id(), CodecError);
+  EXPECT_THROW(dec.get_process_id(), CodecError);
+  EXPECT_EQ(dec.get_process_id(), ProcessId(kProcessIdLimit - 1));
 }
 
 TEST(Codec, RemainingTracksPosition) {

@@ -5,12 +5,11 @@
 // *ordering*, never on raw id magnitude — so an order-preserving
 // bijection of the id space must leave every observable (deliveries,
 // drops, FIFO tails, components, virtual time) byte-identical. The
-// sparse id set below deliberately straddles every representation
-// boundary: the slot_direct_/slot_big_ split at 4096 and the
-// ProcessSet inline/ext/huge tiers at 256 and 2^20. This guards the
-// bug class PR 3 fixed for loopback (tri_index computed from raw ids
-// indexing one past the pair tables) at the scale where raw-id-sized
-// tables would be quadratically wrong.
+// sparse id set below spans the legal id space up to its last id,
+// kProcessIdLimit - 1, crossing the ProcessSet inline/extension tiers
+// at 256 on the way. This guards the bug class of a loopback send whose
+// tri_index, computed from raw ids, indexed one past the pair tables,
+// at the scale where raw-id-sized tables would be quadratically wrong.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -170,10 +169,10 @@ Observation run_script(const std::vector<std::uint32_t>& raw_ids) {
   return obs;
 }
 
-// Strictly increasing, straddling the direct-lookup/hash-map split at
-// 4096 and the ProcessSet inline (<256) / ext (<2^20) / huge tiers.
-const std::vector<std::uint32_t> kSparseIds = {
-    3, 255, 4095, 4096, 70001, (std::uint32_t{1} << 20) + 7};
+// Strictly increasing, straddling the ProcessSet inline (<256) /
+// extension tiers and ending at the largest legal id.
+const std::vector<std::uint32_t> kSparseIds = {3,    255,   4095,
+                                               4096, 70001, kProcessIdLimit - 1};
 const std::vector<std::uint32_t> kDenseIds = {0, 1, 2, 3, 4, 5};
 
 TEST(NetworkSparseIds, SparseAndDenseIdSpacesObserveIdenticalExecutions) {
@@ -208,12 +207,11 @@ TEST(NetworkSparseIds, ScriptExercisesEveryDropAndDeliveryPath) {
 }
 
 TEST(NetworkSparseIds, LoopbackFromTheLargestSparseIdDeliversToSelf) {
-  // The PR-3 loopback regression at sparse scale: tri_index(s, s) for
-  // the largest slot indexes one past the pair tables, so a self-send
-  // must never consult them — now with a raw id far past the dense
-  // limit.
+  // The loopback regression at sparse scale: tri_index(s, s) for the
+  // largest slot indexes one past the pair tables, so a self-send must
+  // never consult them — here from the largest legal id.
   Simulator sim{SimulatorOptions{.seed = 7, .latency = {}}};
-  const ProcessId big{(std::uint32_t{1} << 20) + 999};
+  const ProcessId big{kProcessIdLimit - 1};
   const ProcessId small{17};
   auto* small_node = new RecordingNode(sim, small);
   auto* big_node = new RecordingNode(sim, big);
@@ -273,6 +271,15 @@ TEST(NetworkSparseIds, FifoTailForUnknownOrSelfPairsIsEmpty) {
   EXPECT_FALSE(sim.network().fifo_tail(a, a).has_value());
   EXPECT_FALSE(sim.network().alive(ProcessId{999999}));
   EXPECT_FALSE(sim.network().connected(a, ProcessId{999999}));
+}
+
+TEST(NetworkSparseIds, AddProcessRejectsIdsAtTheLimit) {
+  Simulator sim{SimulatorOptions{.seed = 17, .latency = {}}};
+  EXPECT_THROW(sim.network().add_process(ProcessId{kProcessIdLimit}),
+               InvariantViolation);
+  sim.network().add_process(ProcessId{kProcessIdLimit - 1});
+  EXPECT_TRUE(sim.network().alive(ProcessId{kProcessIdLimit - 1}));
+  EXPECT_FALSE(sim.network().alive(ProcessId{kProcessIdLimit}));
 }
 
 }  // namespace

@@ -258,6 +258,29 @@ TEST(TraceExportTest, JsonRoundTripPreservesEvents) {
   EXPECT_EQ(loaded.meta.ambiguity_bound, 5u);  // n=5, Min_Quorum=1
 }
 
+TEST(TraceExportTest, LoaderRejectsProcessIdsPastTheLimit) {
+  // A malformed trace must not size a ProcessSet bitset by a huge id:
+  // every id field is checked against kProcessIdLimit on the way in.
+  const std::string kind =
+      std::string(obs::to_string(obs::TraceEventKind::kViewInstalled));
+  const auto event = [&](const std::string& fields) {
+    return JsonValue::parse("{\"t\":0,\"k\":\"" + kind + "\",\"e\":1," +
+                            fields + "}");
+  };
+  const std::string limit = std::to_string(kProcessIdLimit);
+  const std::string last = std::to_string(kProcessIdLimit - 1);
+  EXPECT_EQ(obs::trace_event_from_json(event("\"a\":" + last + ",\"m\":[1," +
+                                             last + "]"))
+                .a,
+            ProcessId(kProcessIdLimit - 1));
+  EXPECT_THROW(obs::trace_event_from_json(event("\"a\":" + limit)), JsonError);
+  EXPECT_THROW(obs::trace_event_from_json(event("\"a\":1,\"b\":" + limit)),
+               JsonError);
+  EXPECT_THROW(
+      obs::trace_event_from_json(event("\"a\":1,\"m\":[1," + limit + "]")),
+      JsonError);
+}
+
 TEST(TraceReplayTest, CleanRunReverifiesC1AndAmbiguityBound) {
   // A full scenario exported to JSON and replayed from the text alone.
   const std::string exported = run_and_export(42);

@@ -303,7 +303,10 @@ TEST(WalPersistence, SnapshotModeKeepsTheLegacyByteFormat) {
 
   Encoder expected;
   state.encode(expected);
-  EXPECT_EQ(storage.get("dv.state"), expected.bytes());
+  const std::vector<std::uint8_t>* stored =
+      storage.value(storage.intern("dv.state"));
+  ASSERT_NE(stored, nullptr);
+  EXPECT_EQ(*stored, expected.bytes());
 }
 
 // ---- protocol-level coverage ---------------------------------------------

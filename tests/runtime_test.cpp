@@ -17,6 +17,7 @@
 #include "runtime/fleet.hpp"
 #include "runtime/spsc_queue.hpp"
 #include "runtime/timer_wheel.hpp"
+#include "util/ensure.hpp"
 #include "util/rng.hpp"
 
 namespace dynvote::runtime {
@@ -374,6 +375,29 @@ TEST(RuntimeFleet, StopIsIdempotentAndSummariesAreStable) {
   const std::string summary = fleet.outcome_summary();
   EXPECT_FALSE(summary.empty());
   EXPECT_EQ(fleet.outcome_digest(), fnv1a64(summary));
+}
+
+TEST(RuntimeFleet, ProtocolLookupResolvesSparseIdsDirectly) {
+  // Ids need not be 0..n-1: protocol() resolves any registered id
+  // through the transport's direct index and refuses the rest.
+  FleetOptions options;
+  options.n = 3;
+  options.workers = 1;
+  options.config.core = ProcessSet::of({2, 9, 300});
+  RuntimeFleet fleet(options);
+  for (const std::uint32_t raw : {2u, 9u, 300u}) {
+    EXPECT_EQ(fleet.protocol(ProcessId(raw)).id(), ProcessId(raw));
+  }
+  EXPECT_THROW((void)fleet.protocol(ProcessId(3)), InvariantViolation);
+  EXPECT_THROW((void)fleet.protocol(ProcessId(kProcessIdLimit)),
+               InvariantViolation);
+}
+
+TEST(RuntimeFleet, PoolTransportRejectsIdsAtTheLimit) {
+  EXPECT_THROW(PoolTransport({ProcessId(1), ProcessId(kProcessIdLimit)}, 1),
+               InvariantViolation);
+  EXPECT_THROW(PoolTransport({ProcessId(4), ProcessId(4)}, 1),
+               InvariantViolation);
 }
 
 // -------------------------------------------------------------- cross-check

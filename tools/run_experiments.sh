@@ -28,11 +28,12 @@ set -e
 cd "$(dirname "$0")/.."
 
 # Reuse the generator of an existing build tree; default to Ninja for a
-# fresh one.
+# fresh one. The main build treats compiler warnings as errors (CMake >=
+# 3.24 honours the flag; older versions ignore it).
 if [ -f build/CMakeCache.txt ]; then
-  cmake -B build
+  cmake -B build -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 else
-  cmake -B build -G Ninja
+  cmake -B build -G Ninja -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 fi
 cmake --build build
 ctest --test-dir build --output-on-failure
